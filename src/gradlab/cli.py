@@ -1,7 +1,7 @@
 """Experiment runner.
 
-Subcommands: ``run`` (one flow per config; several configs run in a worker
-pool with ``--jobs``), ``grow``/``eci`` (expansion loop), ``spectrum``
+Subcommands: ``run`` (one flow per config; several configs run one after
+another), ``grow``/``eci`` (expansion loop), ``spectrum``
 (kernel eigenvalue tables), ``coverage-demo`` (plane-coverage brute force),
 and ``analyze`` (re-run analysis on an existing trace file).
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,7 +41,7 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _resolve_out_dir(args, cfg) -> Path:
+def _out_dir(args, cfg) -> Path:
     if args.out is not None:
         out = Path(args.out)
     elif os.environ.get(OUTPUT_DIR_ENV):
@@ -51,6 +50,11 @@ def _resolve_out_dir(args, cfg) -> Path:
         out = Path(cfg.get("output", "dir"))
     else:
         out = Path("out")
+    return out
+
+
+def _resolve_out_dir(args, cfg) -> Path:
+    out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -111,13 +115,24 @@ def _analysis_row(run_id, cfg, trace, problem=None, arch=None):
 
 
 def cmd_run(args) -> int:
-    paths = args.config
-    if len(paths) > 1:
-        jobs = max(1, args.jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(lambda p: _run_single(p, args), paths))
-        return max(codes)
-    return _run_single(paths[0], args)
+    # every run writes <out>/<stem>_*, so two configs that resolve to the
+    # same prefix would overwrite each other's files
+    writers = {}
+    for path in args.config:
+        try:
+            cfg = config_mod.load_config(path)
+        except ConfigurationError:
+            continue  # its own run reports the error
+        prefix = (_out_dir(args, cfg) / Path(path).stem).resolve()
+        if prefix in writers:
+            print(
+                f"config error: {writers[prefix]} and {path} would both "
+                f"write {prefix}_*",
+                file=sys.stderr,
+            )
+            return EXIT_CONFIG
+        writers[prefix] = path
+    return max([_run_single(path, args) for path in args.config])
 
 
 def _run_single(config_path, args) -> int:
@@ -438,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, nargs=nargs, help="config path(s)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
 
     p_run = sub.add_parser("run", help="run one configured flow")
     common(p_run, multi_config=True)

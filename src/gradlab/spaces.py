@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import dstn
 
 from .errors import ConfigurationError, ShapeError, UnsupportedOperationError
 
@@ -265,9 +264,13 @@ def metric_flat(grad: Field, source_metric: SobolevOrder) -> Field:
 #
 # With padded node count N per axis, the DST-I nodes are
 # u_j = pi (j+1) / (N+1) in the half-period variable u = (x + pi)/2, and
-# phi_k(x_j) = sin(k u_j).  The synthesis matrix S (nodes x modes) satisfies
-# S^T S = (N+1)/2 * I, so analysis with factor 2/(N+1) inverts synthesis and
-# pointwise multiplication in nodal space is exactly self-adjoint in the
+# phi_k(x_j) = sin(k u_j).  The synthesis matrix S[j, k] = sin(k u_j)
+# (N nodes x n modes) satisfies S^T S = (N+1)/2 * I, so the analysis matrix
+# A = 2/(N+1) * S^T inverts synthesis on the first n modes.  Both are built
+# once per (n, pad_factor), cached read-only, and applied along each axis in
+# turn; for these short axes a dense product beats a zero-padded FFT.
+# Because A is S^T up to one scalar, <S c, v> = ((N+1)/2)^d <c, A v> holds
+# exactly, so pointwise multiplication in nodal space is self-adjoint in the
 # discrete L2 inner product.  That exactness is what lets analytic gradients
 # match finite differences of the discrete loss to near machine precision.
 
@@ -276,20 +279,38 @@ def _padded_nodes(n: int, pad_factor: int) -> int:
     return pad_factor * n
 
 
-def _to_nodal_raw(coeffs: np.ndarray, n: int, d: int, pad_factor: int) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _nodal_matrices(n: int, pad_factor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesis S (N x n) and analysis A = 2/(N+1) S^T (n x N), read-only."""
     npad = _padded_nodes(n, pad_factor)
-    cube = coeffs.reshape((n,) * d)
-    padded = np.zeros((npad,) * d)
-    padded[(slice(0, n),) * d] = cube
-    # scipy dst type 1 applies 2 * sum sin(...) per axis
-    return dstn(padded, type=1, axes=tuple(range(d))) / (2.0 ** d)
+    # reduce j*k modulo the period 2(N+1) exactly before scaling by pi/(N+1)
+    phase = np.outer(np.arange(1, npad + 1), np.arange(1, n + 1)) % (2 * (npad + 1))
+    synthesis = np.sin(np.pi / (npad + 1) * phase)
+    analysis = np.ascontiguousarray((2.0 / (npad + 1)) * synthesis.T)
+    synthesis.flags.writeable = False
+    analysis.flags.writeable = False
+    return synthesis, analysis
+
+
+def _apply_per_axis(x: np.ndarray, m: np.ndarray, d: int) -> np.ndarray:
+    """Contract every axis of the cube ``x`` with ``m`` (new length x old)."""
+    if d == 1:
+        return m @ x
+    for _ in range(d):
+        # contract the leading axis and append the new one, so after d
+        # passes the axes are back in their original order
+        x = (x.reshape(x.shape[0], -1).T @ m.T).reshape(x.shape[1:] + m.shape[:1])
+    return x
+
+
+def _to_nodal_raw(coeffs: np.ndarray, n: int, d: int, pad_factor: int) -> np.ndarray:
+    synthesis, _ = _nodal_matrices(n, pad_factor)
+    return _apply_per_axis(coeffs.reshape((n,) * d), synthesis, d)
 
 
 def _from_nodal_raw(values: np.ndarray, n: int, d: int, pad_factor: int) -> np.ndarray:
-    npad = _padded_nodes(n, pad_factor)
-    coeffs = dstn(values, type=1, axes=tuple(range(d))) / (npad + 1.0) ** d
-    cube = coeffs[(slice(0, n),) * d]
-    return np.ascontiguousarray(cube).reshape(-1)
+    _, analysis = _nodal_matrices(n, pad_factor)
+    return _apply_per_axis(values, analysis, d).reshape(-1)
 
 
 def to_nodal(g: Field, pad_factor: int = 2) -> np.ndarray:
@@ -392,14 +413,6 @@ def project_values_1d(basis: Basis, values: np.ndarray) -> np.ndarray:
 def project_function_1d(basis: Basis, fn) -> Field:
     nodes = quadrature_nodes_1d(basis)
     return Field(project_values_1d(basis, fn(nodes)), basis)
-
-
-def quadrature_integral_1d(basis: Basis, values: np.ndarray) -> float:
-    """Integrate values sampled at the Gauss nodes over [-pi, pi]."""
-    x, _ = _gauss_projection_1d(basis.n)
-    n_quad = x.shape[0]
-    _, w = leggauss(n_quad)
-    return float(np.dot(values, w * HALF_WIDTH))
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,22 @@ max_steps = 2000
         cfg1 = write_config(tmp_path, QUAD_DEMO, "first.ini")
         cfg2 = write_config(tmp_path, QUAD_DEMO, "second.ini")
         out = tmp_path / "out"
-        code = cli.main(
-            ["run", "--config", str(cfg1), str(cfg2), "--out", str(out), "--jobs", "2"]
-        )
+        code = cli.main(["run", "--config", str(cfg1), str(cfg2), "--out", str(out)])
         assert code == 0
         assert (out / "first_trace.jsonl").exists()
         assert (out / "second_trace.jsonl").exists()
+
+    def test_colliding_output_stems_rejected(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        cfg1 = write_config(tmp_path / "a", QUAD_DEMO, "x.ini")
+        cfg2 = write_config(tmp_path / "b", QUAD_DEMO, "x.ini")
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", str(cfg1), str(cfg2), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(cfg1) in err and str(cfg2) in err
+        assert not out.exists()  # rejected before any run wrote output
 
     def test_nominal_writes_terminal_field(self, tmp_path):
         nominal = """

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import dstn
 
 from gradlab import spaces as sp
 from gradlab.errors import ConfigurationError, ShapeError, UnsupportedOperationError
@@ -194,6 +197,77 @@ class TestNodalTransforms:
         small = sp.field_from_modes(basis_64, [(1, 0.5)])
         _, clamped = sp.apply_pointwise(small, np.sinh)
         assert not clamped
+
+
+def _dstn_to_nodal(coeffs, n, d, pad_factor):
+    """Reference synthesis: zero-padded DST-I (scipy applies 2 sum sin)."""
+    npad = pad_factor * n
+    padded = np.zeros((npad,) * d)
+    padded[(slice(0, n),) * d] = coeffs.reshape((n,) * d)
+    return dstn(padded, type=1, axes=tuple(range(d))) / 2.0**d
+
+
+def _dstn_from_nodal(values, n, d, pad_factor):
+    """Reference analysis: DST-I of the nodal cube, first n modes per axis."""
+    npad = pad_factor * n
+    coeffs = dstn(values, type=1, axes=tuple(range(d))) / (npad + 1.0) ** d
+    return coeffs[(slice(0, n),) * d].reshape(-1)
+
+
+# (d, n, pad_factor, seed, log10 of the coefficient scale)
+_TRANSFORM_CASES = st.one_of(
+    st.tuples(st.just(1), st.integers(4, 256)),
+    st.tuples(st.just(3), st.integers(4, 40)),
+).flatmap(
+    lambda dn: st.tuples(
+        st.just(dn[0]),
+        st.just(dn[1]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.floats(-3.0, 3.0),
+    )
+)
+
+
+class TestNodalMatrices:
+    """The cached per-axis sine matrices against scipy's DST-I."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_TRANSFORM_CASES)
+    def test_match_dstn_and_adjoint_identity(self, case):
+        d, n, pad, seed, log_scale = case
+        npad = pad * n
+        rng = np.random.default_rng(seed)
+        coeffs = 10.0**log_scale * rng.standard_normal(n**d)
+        values = 10.0**log_scale * rng.standard_normal((npad,) * d)
+        tol = 8 * npad * np.finfo(float).eps
+
+        nodal = sp._to_nodal_raw(coeffs, n, d, pad)
+        ref_nodal = _dstn_to_nodal(coeffs, n, d, pad)
+        assert nodal.shape == (npad,) * d
+        assert np.max(np.abs(nodal - ref_nodal)) <= tol * np.max(np.abs(ref_nodal))
+
+        back = sp._from_nodal_raw(values, n, d, pad)
+        ref_back = _dstn_from_nodal(values, n, d, pad)
+        assert back.shape == (n**d,)
+        assert np.max(np.abs(back - ref_back)) <= tol * np.max(np.abs(values))
+
+        # <S c, v> = ((N+1)/2)^d <c, A v>, relative to the Cauchy-Schwarz scale
+        lhs = float(np.dot(nodal.ravel(), values.ravel()))
+        rhs = ((npad + 1) / 2.0) ** d * float(np.dot(coeffs, back))
+        scale = np.linalg.norm(nodal) * np.linalg.norm(values)
+        assert abs(lhs - rhs) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n,pad", [(24, 2), (17, 2), (5, 3)])
+    def test_cached_matrices_read_only(self, n, pad):
+        synthesis, analysis = sp._nodal_matrices(n, pad)
+        assert synthesis.shape == (pad * n, n)
+        assert analysis.shape == (n, pad * n)
+        assert sp._nodal_matrices(n, pad)[0] is synthesis
+        for m in (synthesis, analysis):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
 
 
 class TestModeFields:
