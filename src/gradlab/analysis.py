@@ -270,9 +270,13 @@ def fit_kernel_decay(
 
     OLS on log(min_nonzero_eig) against log|w - w*|, restricted to the tail
     where the floor has decayed below a tenth of its peak, then an
-    inequality-verification pass: after rescaling to a unit constant at the
-    lower envelope (5th percentile), the fraction of points satisfying
-    eig >= dist**r_hat is reported.
+    inequality-verification pass: the constant c of eig >= c * dist**r_hat
+    is the median of eig / dist**r_hat over the far half of the tail (the
+    points farther from w* than the median distance), and
+    ``envelope_fraction`` is the share of the near half that satisfies the
+    inequality within a factor 0.9.  A law that steepens near w* fails it;
+    a constant taken from the counted points themselves would pass any
+    data.
     """
     if isinstance(traces, FlowTrace):
         traces = [traces]
@@ -300,10 +304,15 @@ def fit_kernel_decay(
     slope, intercept = np.polyfit(x, y, 1)
     quality = _r_squared(y, slope * x + intercept)
     r_hat = float(max(slope, 0.0))
-    # lower-envelope verification with unit constant after rescaling
+    # constant from the far half, inequality checked on the near half; the
+    # 0.9 factor absorbs the few-percent eigensolver noise of floors within
+    # a few eps * lambda_max of zero, while under a law steeper than r_hat
+    # the ratio eig / dist**r_hat keeps shrinking towards w*
     resid = y - r_hat * x
-    c_low = np.percentile(resid, 5.0)
-    satisfied = float(np.mean(resid >= c_low))
+    near = x < np.median(x)
+    c_far = float(np.median(resid[~near]))
+    ok = resid[near] >= c_far + np.log(0.9)
+    satisfied = float(np.mean(ok)) if ok.size else 0.0
     return KernelDecayFit(
         r_hat=r_hat,
         predicted_alpha_star=(alpha + r_hat) / (1.0 + r_hat),

@@ -9,18 +9,23 @@ Three flows are provided:
   noise, alpha(t) = sqrt(c / log(2 + t)), integrated by fixed-step
   Euler-Maruyama and fully reproducible from the seed.
 
-Deterministic flows ride scipy's adaptive RK45 stepper; sampling, stall
+Deterministic flows ride scipy's LSODA stepper, which switches between
+Adams and BDF formulas when it detects stiffness (Petzold 1983).  The
+parametric NPBE pullback is stiff (``-lap`` makes an explicit step scale
+like ``n**-3``) while the nominal flows are not, and LSODA matches or beats
+a fixed choice on both, so there is no solver option.  Sampling, stall
 detection, and termination are handled here on the recorded sample grid.
-Traces are immutable once terminal and safe to analyze concurrently.
+Traces carry deterministic work counters and are immutable once terminal
+and safe to analyze concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import LSODA
 
 from . import architectures as arch_mod
 from . import problems as prob_mod
@@ -93,7 +98,9 @@ class FlowTrace:
     Sample columns are parallel arrays; ``min_nonzero_eig`` and
     ``model_error`` are present only where meaningful (parametric flows,
     problems with a known solution).  ``params`` stacks parameter snapshots
-    row per sample when recorded.
+    row per sample when recorded.  ``counters`` holds the run's work:
+    ``rhs_evals``, ``jac_evals`` and ``steps`` for deterministic flows,
+    ``em_steps`` for the annealed flow.
     """
 
     kind: str  # nominal | parametric | annealed
@@ -107,6 +114,7 @@ class FlowTrace:
     model_error: np.ndarray | None = None
     params: np.ndarray | None = None
     events: tuple[FlowEvent, ...] = ()
+    counters: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.terminal_reason not in TERMINAL_REASONS:
@@ -316,7 +324,9 @@ class _TraceBuilder:
                 )
         return None
 
-    def finish(self, reason: str, terminal_state, detail: str = "") -> FlowTrace:
+    def finish(
+        self, reason: str, terminal_state, detail: str = "", counters=None
+    ) -> FlowTrace:
         self.events.append(FlowEvent(self.t[-1], "stop", detail or reason))
         return FlowTrace(
             kind=self.kind,
@@ -330,22 +340,35 @@ class _TraceBuilder:
             terminal_reason=reason,
             terminal_state=terminal_state,
             config=self.cfg,
+            counters=counters or {},
         )
 
 
 def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
-    """Drive scipy RK45 over y' = rhs_fn(y), recording on a fixed grid.
+    """Drive scipy LSODA over y' = rhs_fn(y), recording on a fixed grid.
 
-    ``rhs_fn`` is the bare drift (called at every integrator stage);
-    ``eval_sample(y) -> (loss, grad_norm, extras)`` adds the per-sample
-    diagnostics and is only called on the recording grid.  ``make_state``
-    wraps the terminal state.
+    LSODA starts with Adams formulas and moves to BDF with a
+    finite-difference Jacobian once it detects stiffness, so stiff
+    pullbacks and non-stiff nominal flows share this one driver.
+    ``rhs_fn`` is the bare drift (called at every integrator stage and
+    Jacobian column); ``eval_sample(y) -> (loss, grad_norm, extras)`` adds
+    the per-sample diagnostics and is only called on the recording grid.
+    ``make_state`` wraps the terminal state.
     """
 
     builder = None  # assigned below; closed over by record()
+    stepper = None
+    n_steps = 0
 
     def rhs(t, y):
         return rhs_fn(y)
+
+    def finish(reason, y, detail=""):
+        counters = {"rhs_evals": 0, "jac_evals": 0, "steps": n_steps}
+        if stepper is not None:
+            counters["rhs_evals"] = int(stepper.nfev)
+            counters["jac_evals"] = int(stepper.njev)
+        return builder.finish(reason, make_state(y), detail, counters)
 
     try:
         sample0 = eval_sample(np.asarray(y0, dtype=np.float64))
@@ -372,10 +395,10 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
         raise ConfigurationError("initial state already has non-finite loss")
 
     if sample0[1] < cfg.grad_stop:
-        return builder.finish("grad_stop", make_state(np.asarray(y0)))
+        return finish("grad_stop", np.asarray(y0))
 
     dt = cfg.sample_interval
-    stepper = RK45(
+    stepper = LSODA(
         rhs,
         0.0,
         np.asarray(y0, dtype=np.float64),
@@ -384,21 +407,17 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
         atol=cfg.abs_tol,
     )
     next_t = dt
-    n_steps = 0
     h_floor = 1e-13 * max(cfg.t_end, 1.0)
     while stepper.status == "running":
+        y_prev = stepper.y
         try:
             stepper.step()
         except (DivergenceError, FloatingPointError, OverflowError):
-            return builder.finish("divergence", make_state(stepper.y), "rhs diverged")
+            return finish("divergence", stepper.y, "rhs diverged")
         if stepper.status == "failed":
-            return builder.finish(
-                "divergence", make_state(stepper.y), "integrator step failure"
-            )
+            return finish("divergence", stepper.y, "integrator step failure")
         if not np.all(np.isfinite(stepper.y)):
-            return builder.finish(
-                "divergence", make_state(stepper.y_old), "non-finite state"
-            )
+            return finish("divergence", y_prev, "non-finite state")
         n_steps += 1
         dense = stepper.dense_output()
         while next_t <= stepper.t + 1e-12 * max(1.0, abs(stepper.t)):
@@ -408,19 +427,19 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
                 sample = eval_sample(ys)
                 record(ts, ys, sample)
             except DivergenceError:
-                return builder.finish("divergence", make_state(ys), "loss diverged")
+                return finish("divergence", ys, "loss diverged")
             if sample[1] < cfg.grad_stop:
-                return builder.finish("grad_stop", make_state(ys))
+                return finish("grad_stop", ys)
             stall = builder.stalled()
             if stall is not None:
                 builder.events.append(FlowEvent(ts, "stall", stall))
-                return builder.finish("stall", make_state(ys), stall)
+                return finish("stall", ys, stall)
             next_t += dt
-        if n_steps >= cfg.max_steps or stepper.h_abs < h_floor:
-            return builder.finish(
+        if n_steps >= cfg.max_steps or stepper.step_size < h_floor:
+            return finish(
                 "divergence",
-                make_state(stepper.y),
-                f"step budget exhausted at t={stepper.t:.3e} (h={stepper.h_abs:.1e})",
+                stepper.y,
+                f"step budget exhausted at t={stepper.t:.3e} (h={stepper.step_size:.1e})",
             )
     # clean t_end arrival: record the final point if the grid missed it
     if builder.t[-1] < cfg.t_end - 1e-12 * cfg.t_end:
@@ -428,8 +447,8 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
             sample = eval_sample(stepper.y)
             record(cfg.t_end, stepper.y, sample)
         except DivergenceError:
-            return builder.finish("divergence", make_state(stepper.y), "loss diverged")
-    return builder.finish("t_end", make_state(stepper.y))
+            return finish("divergence", stepper.y, "loss diverged")
+    return finish("t_end", stepper.y)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +567,10 @@ def integrate_annealed(
         if (step + 1) % record_stride == 0 or step == n_steps - 1:
             if not np.all(np.isfinite(y)):
                 return builder.finish(
-                    "divergence", ParamVector(np.zeros(m), level), "non-finite state"
+                    "divergence",
+                    ParamVector(np.zeros(m), level),
+                    "non-finite state",
+                    counters={"em_steps": step + 1},
                 )
             try:
                 sample_at(t, y)
@@ -557,8 +579,11 @@ def integrate_annealed(
                     "divergence",
                     ParamVector(np.where(np.isfinite(y), y, 0.0), level),
                     "loss diverged",
+                    counters={"em_steps": step + 1},
                 )
-    return builder.finish("t_end", ParamVector(y, level))
+    return builder.finish(
+        "t_end", ParamVector(y, level), counters={"em_steps": n_steps}
+    )
 
 
 def lyapunov_check(trace: FlowTrace, tolerance: float) -> list[int] | None:

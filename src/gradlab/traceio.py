@@ -2,8 +2,10 @@
 
 A trace file is JSON lines: one header record (flow kind, full config,
 seed, code version), one record per sample, and one terminal record
-carrying the stop reason, final parameters, and events.  Payload bytes are
-deterministic for a fixed trace: keys are sorted and floats use ``repr``.
+carrying the stop reason, final parameters, events, and the run's work
+counters (right-hand sides, Jacobians and steps, or Euler-Maruyama
+steps).  Payload bytes are deterministic for a fixed trace: keys are
+sorted and floats use ``repr``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ def trace_to_lines(trace: FlowTrace) -> list[str]:
         "events": [
             {"t": e.t, "kind": e.kind, "detail": e.detail} for e in trace.events
         ],
+        "counters": trace.counters,
     }
     state = trace.terminal_state
     if isinstance(state, ParamVector):
@@ -144,6 +147,7 @@ def read_trace(path) -> FlowTrace:
         terminal_reason=terminal["reason"],
         terminal_state=state,
         config=cfg,
+        counters=terminal.get("counters", {}),
     )
 
 

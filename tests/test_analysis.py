@@ -254,6 +254,45 @@ class TestKernelDecayFit:
                 trace.min_nonzero_eig[i], rel=1e-9, abs=1e-12
             )
 
+    @staticmethod
+    def _synthetic_trace(d, mu):
+        n = d.size
+        return fl.FlowTrace(
+            kind="parametric",
+            t=np.arange(n, dtype=float),
+            loss=np.ones(n),
+            grad_norm=np.ones(n),
+            terminal_reason="stall",
+            terminal_state=None,
+            config=fl.FlowConfig(),
+            min_nonzero_eig=mu,
+            params=d[:, None],
+        )
+
+    def test_envelope_exact_power_law_any_tail_size(self):
+        # the first point is the peak; the other n form the fitted tail
+        w_star = ar.ParamVector(np.zeros(1))
+        for n in range(240, 281):
+            d = np.concatenate([[1.0], np.geomspace(0.3, 1e-6, n)])
+            fit = an.fit_kernel_decay(
+                self._synthetic_trace(d, 3.0 * d**2), w_star, alpha=0.5
+            )
+            assert fit.n_points == n
+            assert fit.r_hat == pytest.approx(2.0, abs=1e-9)
+            assert fit.envelope_fraction >= 0.95
+
+    def test_envelope_catches_law_steepening_near_limit(self):
+        # mu ~ d^2 far from w*, ~ d^4 close to it: the fitted exponent is
+        # an average, and the near points fall below the far constant
+        w_star = ar.ParamVector(np.zeros(1))
+        d = np.concatenate([[1.0], np.geomspace(0.3, 1e-6, 260)])
+        dc = np.sqrt(0.3 * 1e-6)
+        mu = d**4 / (d**2 + dc**2)
+        fit = an.fit_kernel_decay(self._synthetic_trace(d, mu), w_star, alpha=0.5)
+        assert fit.n_points == 260
+        assert 2.5 < fit.r_hat < 3.5
+        assert fit.envelope_fraction < 0.7
+
     def test_floor_above_threshold_returns_zero_exponent(self, basis_64):
         phi = sp.field_from_modes(basis_64, [(1, 0.5)])
         p = pr.quadratic_problem(basis_64, phi)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +75,17 @@ class TestRun:
         rows = read_rows(tmp_path / "out" / "cfg_analysis.csv")
         assert rows[0]["critical_case"] == "at_solution"
         assert float(rows[0]["alpha_hat"]) == pytest.approx(0.5, abs=0.02)
+
+    def test_npbe_demo_work_budget(self, tmp_path):
+        # the stiff NPBE pullback: LSODA needs about 1.5k right-hand sides
+        # where an explicit RK45 needed about 57k
+        config = Path(__file__).resolve().parents[1] / "configs" / "npbe_solve.ini"
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        trace = traceio.read_trace(out / "npbe_solve_trace.jsonl")
+        assert trace.terminal_reason == "grad_stop"
+        assert 0 < trace.counters["rhs_evals"] < 5000
+        assert trace.counters["steps"] > 0
 
     def test_negative_tolerance_names_field(self, tmp_path, capsys):
         bad = QUAD_DEMO.replace("t_end = 60", "t_end = 60\nrel_tol = -1e-9")

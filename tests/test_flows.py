@@ -282,6 +282,43 @@ class TestDeterminism:
         assert traceio.trace_to_lines(back) == traceio.trace_to_lines(trace)
 
 
+class TestWorkCounters:
+    def test_deterministic_counters(self, quad_problem, basis_128):
+        arch = ar.sinusoid_architecture(basis_128, 1)
+        w0 = ar.ParamVector(np.array([0.2, 1.1, 0.3]))
+        trace = fl.integrate_parametric(
+            quad_problem, arch, w0, fl.FlowConfig(t_end=2.0, record_every=0.1)
+        )
+        c = trace.counters
+        assert set(c) == {"rhs_evals", "jac_evals", "steps"}
+        assert c["steps"] > 0
+        # every accepted step costs at least one right-hand side
+        assert c["rhs_evals"] >= c["steps"]
+        assert c["jac_evals"] >= 0
+
+    def test_no_step_taken_at_critical_point(self, quad_problem):
+        cfg = fl.FlowConfig(t_end=5.0)
+        trace = fl.integrate_nominal(quad_problem, quad_problem.known_solution, cfg)
+        assert trace.counters == {"rhs_evals": 0, "jac_evals": 0, "steps": 0}
+
+    def test_annealed_counts_em_steps(self):
+        problem, arch, shallow, _, _ = double_well_fixture()
+        w0 = ar.ParamVector(np.array([shallow]))
+        cfg = fl.FlowConfig(t_end=2.0, seed=1, noise_beta=1.0, sde_step=1e-3)
+        trace = fl.integrate_annealed(problem, arch, w0, cfg)
+        assert trace.counters == {"em_steps": 2000}
+
+    def test_counters_round_trip(self, quad_problem, basis_128, tmp_path):
+        g0 = sp.field_from_modes(basis_128, [(1, 1.5), (2, 0.7)])
+        trace = fl.integrate_nominal(
+            quad_problem, g0, fl.FlowConfig(t_end=1.0, record_every=0.1)
+        )
+        path = tmp_path / "trace.jsonl"
+        traceio.write_trace(path, trace)
+        assert traceio.read_trace(path).counters == trace.counters
+        assert trace.counters["rhs_evals"] > 0
+
+
 def test_nominal_energy_identity(basis_128):
     phi = sp.field_from_modes(basis_128, [(1, 0.6), (3, 0.25)])
     p = pr.quadratic_problem(basis_128, phi)
