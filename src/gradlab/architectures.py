@@ -6,8 +6,8 @@ Shipped kinds:
 * ``affine``    -- offset + sum_k w_k * b_k over fixed basis fields.
 * ``sinusoid``  -- w_0 + sum_i w_{2i} * sin(w_{2i-1} * x) on a 1-D sine
   basis, M = 2a + 1 for ``a`` frequency/amplitude pairs.  Both amplitudes
-  and frequencies are free reals; terms are projected onto the basis by
-  Gauss quadrature.
+  and frequencies are free reals; each term's projection onto the basis,
+  and its frequency derivative, is exact in closed form (sinc functions).
 * ``spiral``    -- the one-parameter plane curve (w sin w, w cos w).
 * ``curve``     -- offset + sum_j q_j(w) * b_j for fixed 1-D polynomials
   q_j and fields b_j; a one-parameter family used to build synthetic loss
@@ -160,21 +160,24 @@ def compile_model_jac(a: ArchitectureSpec):
     if a.kind == "sinusoid":
         basis = a.target_basis
         pairs = a.pair_count
-        nodes = spaces.quadrature_nodes_1d(basis)
-        one = spaces.project_values_1d(basis, np.ones_like(nodes))
-        _, proj = spaces._gauss_projection_1d(basis.n)
+        one = spaces._axis_mode_coeffs(basis, 0)
+        # sin(w x) is odd, so only the even modes k = 2m carry it:
+        # <sin(w x), phi_2m> / pi = (-1)^m [sinc(w - m) - sinc(w + m)]
+        half = np.arange(1, basis.n // 2 + 1, dtype=np.float64)
+        shifts = np.concatenate([-half, half])
+        sign = (-1.0) ** half
 
         def rows(values):
-            freqs = values[1::2]
             amps = values[2::2]
-            phase = np.outer(freqs, nodes)
-            sin_rows = np.sin(phase) @ proj
-            cos_rows = (nodes * np.cos(phase)) @ proj
-            model = values[0] * one + amps @ sin_rows
-            jac = np.empty((2 * pairs + 1, basis.size))
+            u = values[1::2, None] + shifts  # (pairs, 2 * n_even): w - m | w + m
+            s, ds = _sinc_and_derivative(u)
+            jac = np.zeros((2 * pairs + 1, basis.size))
             jac[0] = one
-            jac[1::2] = amps[:, None] * cos_rows
-            jac[2::2] = sin_rows
+            jac[2::2, 1::2] = sign * (s[:, : half.size] - s[:, half.size :])
+            jac[1::2, 1::2] = (amps[:, None] * sign) * (
+                ds[:, : half.size] - ds[:, half.size :]
+            )
+            model = values[0] * one + amps @ jac[2::2]
             return model, jac
 
         return rows
@@ -208,6 +211,23 @@ def compile_model_jac(a: ArchitectureSpec):
 
         return rows
     raise ConfigurationError(f"unknown architecture kind '{a.kind}'")
+
+
+def _sinc_and_derivative(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's normalized sinc and its derivative (cos(pi u) - sinc(u)) / u.
+
+    The quotient cancels as u -> 0, so |u| < 1e-2 takes the Taylor series
+    -pi^2 u / 3 + pi^4 u^3 / 30 - pi^6 u^5 / 840, whose first omitted term
+    is below 1e-15 there.
+    """
+    s = np.sinc(u)
+    small = np.abs(u) < 1e-2
+    safe = np.where(small, 1.0, u)
+    u2 = u * u
+    series = u * (
+        -(np.pi**2) / 3.0 + u2 * (np.pi**4 / 30.0 - u2 * np.pi**6 / 840.0)
+    )
+    return s, np.where(small, series, (np.cos(np.pi * safe) - s) / safe)
 
 
 def model_and_jacobian(a: ArchitectureSpec, w: ParamVector):

@@ -407,7 +407,6 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
         atol=cfg.abs_tol,
     )
     next_t = dt
-    h_floor = 1e-13 * max(cfg.t_end, 1.0)
     while stepper.status == "running":
         y_prev = stepper.y
         try:
@@ -435,7 +434,7 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
                 builder.events.append(FlowEvent(ts, "stall", stall))
                 return finish("stall", ys, stall)
             next_t += dt
-        if n_steps >= cfg.max_steps or stepper.step_size < h_floor:
+        if n_steps >= cfg.max_steps:
             return finish(
                 "divergence",
                 stepper.y,

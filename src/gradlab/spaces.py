@@ -22,7 +22,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, ShapeError, UnsupportedOperationError
 
@@ -367,52 +366,6 @@ def nodal_values_clamped(
     if clamped:
         vals = np.clip(vals, -clamp, clamp)
     return vals, mask, clamped
-
-
-# ---------------------------------------------------------------------------
-# Quadrature projection (1-D): used to place arbitrary smooth functions,
-# e.g. sinusoid model terms, into the sine basis.
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _gauss_projection_1d(n: int):
-    """Gauss-Legendre nodes on [-pi, pi] and the projection matrix.
-
-    Returns (nodes, proj) with proj of shape (n_quad, n) such that
-    ``coeffs = values_at_nodes @ proj`` projects onto the basis, i.e.
-    coeffs_k = <f, phi_k>_L2 / <phi_k, phi_k>_L2.
-    """
-    n_quad = max(512, 8 * n)
-    x, w = leggauss(n_quad)
-    x = x * HALF_WIDTH
-    w = w * HALF_WIDTH
-    k = np.arange(1, n + 1, dtype=np.float64)
-    phi = np.sin(np.outer(x + HALF_WIDTH, k / 2.0))  # (n_quad, n)
-    proj = phi * (w / HALF_WIDTH)[:, None]
-    proj.flags.writeable = False
-    x.flags.writeable = False
-    return x, proj
-
-
-def quadrature_nodes_1d(basis: Basis) -> np.ndarray:
-    if basis.kind != "sine" or basis.dimension != 1:
-        raise UnsupportedOperationError("quadrature projection is 1-D sine only")
-    return _gauss_projection_1d(basis.n)[0]
-
-
-def project_values_1d(basis: Basis, values: np.ndarray) -> np.ndarray:
-    """Project rows of function values at the quadrature nodes onto the basis.
-
-    ``values`` has shape (..., n_quad); returns coefficients (..., n).
-    """
-    _, proj = _gauss_projection_1d(basis.n)
-    return np.asarray(values) @ proj
-
-
-def project_function_1d(basis: Basis, fn) -> Field:
-    nodes = quadrature_nodes_1d(basis)
-    return Field(project_values_1d(basis, fn(nodes)), basis)
 
 
 # ---------------------------------------------------------------------------

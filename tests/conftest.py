@@ -41,6 +41,26 @@ def quad_inner(f: sp.Field, g: sp.Field, n_quad: int = 20001) -> float:
     return float(np.trapezoid(reconstruct(f, x) * reconstruct(g, x), x))
 
 
+def gauss_project(values: np.ndarray, x: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Sine-basis coefficients <f, phi_k> / pi, k = 1..n, of function values
+    ``values`` (..., len(x)) at quadrature nodes ``x`` with weights ``w``
+    (test oracle, independent of the package's closed forms)."""
+    k = np.arange(1, n + 1)
+    return (values * w) @ np.sin(np.outer(x + np.pi, k / 2.0)) / np.pi
+
+
+def panel_gauss(panels: int = 512, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [-pi, pi].
+
+    Each panel spans at most one period of the products integrated against
+    phi_512, so a low-order rule with accurate nodes integrates them to
+    rounding level (test oracle)."""
+    t, wt = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-np.pi, np.pi, panels + 1)
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * wt).ravel()
+
+
 def smooth_random_field(basis: sp.Basis, rng, scale: float = 0.5) -> sp.Field:
     """Random field with a decaying spectrum; keeps losses O(1) so central
     differences are not destroyed by cancellation."""

@@ -5,7 +5,7 @@ from gradlab import architectures as ar
 from gradlab import spaces as sp
 from gradlab.errors import ShapeError, UnsupportedOperationError
 
-from conftest import quad_inner, reconstruct
+from conftest import gauss_project, panel_gauss, quad_inner, reconstruct
 
 
 def banded_sinusoid_params(rng, pairs):
@@ -80,8 +80,14 @@ class TestJacobian:
             arch = ar.curve_architecture([([0.0, 1.0, 0.5, -0.25], b)])
             draw = lambda: rng.uniform(-2, 2, size=1)
         step = 1e-6
-        for _ in range(10):
-            w = draw()
+        draws = [draw() for _ in range(10)]
+        if kind == "sinusoid":
+            # frequencies at k/2 exactly and at k/2 +- 10^-j, where the
+            # sinc derivative switches to its Taylor branch
+            draws.append(np.array([0.4, 1.5, 1.3, -2.5, -0.8]))
+            for delta in [0.0] + [s * 10.0**-j for j in range(2, 13) for s in (1, -1)]:
+                draws.append(np.array([0.4, 2.0 + delta, 1.3, -(3.0 + delta), -0.8]))
+        for w in draws:
             _, jac = ar.model_and_jacobian(arch, ar.ParamVector(w))
             for i in range(w.size):
                 e = np.zeros(w.size)
@@ -91,6 +97,29 @@ class TestJacobian:
                 fd = (fp - fm) / (2 * step)
                 scale = max(np.linalg.norm(fd), 1e-9)
                 assert np.linalg.norm(fd - jac[i]) / scale <= 1e-5
+
+    @pytest.mark.parametrize("n", [24, 128, 512])
+    def test_sinusoid_matches_quadrature_oracle(self, n):
+        basis = sp.make_space(sp.Domain(1), n)
+        rows = ar.compile_model_jac(ar.sinusoid_architecture(basis, 2))
+        x, wq = panel_gauss()
+        one = gauss_project(np.ones_like(x), x, wq, n)
+        rng = np.random.default_rng(n)
+        # at k/2 exactly, near it on both sides of the Taylor switch at
+        # 1e-2, and away from it
+        offsets = [0.0, 1e-12, -1e-9, 2.4e-5, -1e-3, 9.9e-3, -1.01e-2, 0.5, 0.3183]
+        for delta in offsets:
+            m = rng.integers(1, n // 2 + 1, size=2)
+            w = np.array([0.7, m[0] + delta, 1.6, -(m[1] + delta), -0.9])
+            model, jac = rows(w)
+            freqs, amps = w[1::2], w[2::2]
+            phase = np.outer(freqs, x)
+            sines = gauss_project(np.sin(phase), x, wq, n)
+            cosines = gauss_project(x * np.cos(phase), x, wq, n)
+            assert np.max(np.abs(model - (w[0] * one + amps @ sines))) <= 1e-12
+            assert np.max(np.abs(jac[0] - one)) <= 1e-12
+            assert np.max(np.abs(jac[1::2] - amps[:, None] * cosines)) <= 1e-12
+            assert np.max(np.abs(jac[2::2] - sines)) <= 1e-12
 
     def test_zero_amplitude_kills_frequency_row(self, basis_64):
         arch = ar.sinusoid_architecture(basis_64, 2)

@@ -87,6 +87,21 @@ class TestRun:
         assert 0 < trace.counters["rhs_evals"] < 5000
         assert trace.counters["steps"] > 0
 
+    def test_npbe_demo_stiff_start_converges_at_n512(self, tmp_path):
+        # LSODA's first step here is about 4.5e-12, far below t_end; a stiff
+        # start that goes on to converge is not a divergence
+        config = Path(__file__).resolve().parents[1] / "configs" / "npbe_solve.ini"
+        cfg = tmp_path / "npbe512.ini"
+        text = config.read_text()
+        assert "resolution = 24" in text
+        cfg.write_text(text.replace("resolution = 24", "resolution = 512"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        trace = traceio.read_trace(out / "npbe512_trace.jsonl")
+        assert trace.terminal_reason != "divergence"
+        assert trace.model_error[-1] <= 1e-9
+        assert trace.counters["rhs_evals"] < 5000
+
     def test_negative_tolerance_names_field(self, tmp_path, capsys):
         bad = QUAD_DEMO.replace("t_end = 60", "t_end = 60\nrel_tol = -1e-9")
         cfg = write_config(tmp_path, bad)
