@@ -35,6 +35,10 @@ from . import spaces
 from .errors import ConfigurationError, ShapeError, UnsupportedOperationError
 from .spaces import Basis, Field, SobolevOrder
 
+# largest target basis on which spectral_consistency assembles the dense
+# n x n tangent-kernel operator
+MAX_DENSE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class ParamVector:
@@ -340,7 +344,6 @@ def spectral_consistency(
     w: ParamVector,
     metric: SobolevOrder = SobolevOrder.L2,
     tolerance: float = 1e-8,
-    max_dense_size: int = 4096,
 ) -> SpectralConsistencyReport:
     """Check that the Gram matrix and the dense tangent-kernel operator
     share their nonzero spectrum.
@@ -361,9 +364,9 @@ def spectral_consistency(
     own accuracy, so its verdict would depend on the LAPACK build.
     """
     basis = a.target_basis
-    if basis.size > max_dense_size:
+    if basis.size > MAX_DENSE_SIZE:
         raise UnsupportedOperationError(
-            f"dense operator assembly capped at {max_dense_size}, basis has {basis.size}"
+            f"dense operator assembly capped at {MAX_DENSE_SIZE}, basis has {basis.size}"
         )
     diag = tangent_gram(a, w, metric)
     _, jac = model_and_jacobian(a, w)

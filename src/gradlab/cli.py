@@ -325,7 +325,7 @@ def cmd_spectrum(args) -> int:
         consistent = ""
         mismatch = ""
         floor = ""
-        if arch.target_basis.size <= 4096:
+        if arch.target_basis.size <= arch_mod.MAX_DENSE_SIZE:
             rep = arch_mod.spectral_consistency(arch, w, metric)
             consistent = "pass" if rep.passed else "fail"
             mismatch = rep.max_relative_mismatch

@@ -36,6 +36,8 @@ from .problems import Problem
 from .spaces import Field, SobolevOrder
 
 TERMINAL_REASONS = ("grad_stop", "stall", "t_end", "divergence")
+# a recorded loss above this counts as divergence
+LOSS_CAP = 1e60
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,6 @@ class FlowConfig:
     sde_step: float = 1e-3
     record_params: bool = True
     max_steps: int = 500_000
-    loss_cap: float = 1e60
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -377,7 +378,7 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
 
     def record(t, y, sample):
         loss, gnorm, extras = sample
-        if not np.isfinite(loss) or loss > cfg.loss_cap:
+        if not np.isfinite(loss) or loss > LOSS_CAP:
             raise DivergenceError("loss diverged", last_finite=None)
         builder.add(t, loss, gnorm, **extras)
 
@@ -526,7 +527,7 @@ def integrate_annealed(
 
     def sample_at(t, y):
         loss, grad, clamped = obj.value_and_grad(y)
-        if not np.isfinite(loss) or loss > cfg.loss_cap:
+        if not np.isfinite(loss) or loss > LOSS_CAP:
             raise DivergenceError("loss diverged", last_finite=None)
         builder.add(
             t,

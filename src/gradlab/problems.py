@@ -9,9 +9,10 @@ Shipped problems:
 
 * ``quadratic``  -- F[g] = g - phi, so L is half the squared L2 distance.
 * ``npbe``       -- F[g] = -laplacian(g) + sinh(g) + h, the nonlinear
-  Poisson-Boltzmann residual, evaluated pseudo-spectrally.  The data field
-  h is manufactured from a chosen solution phi as h = laplacian(phi) -
-  sinh(phi), which makes phi an exact zero of the discrete residual.
+  Poisson-Boltzmann residual, evaluated pseudo-spectrally through
+  ``spaces.to_nodal``/``from_nodal``.  The data field h is manufactured
+  from a chosen solution phi as h = laplacian(phi) - sinh(phi), which makes
+  phi an exact zero of the discrete residual.
 
 Custom problems (used heavily in tests) supply their own residual and
 L2-gradient callables.
@@ -149,43 +150,60 @@ def npbe_problem(
     derivative of the discrete loss.  Nodal values are clamped to |v| <=
     clamp before sinh/cosh (the clamp zeroes the local derivative, keeping
     gradient and loss consistent).
+
+    The math is written once, in ``npbe_pieces`` over a coefficient-array
+    transform pair.  The ``Field`` callables take it on the public
+    ``spaces.to_nodal``/``from_nodal``; ``compiled_loss`` takes it on their
+    array cores, because validating a ``Field`` per transform would cost
+    more than the small 1-D kernel itself.
     """
     if basis.kind != "sine":
         raise ConfigurationError("npbe requires a sine-spectral basis")
-    sinh_phi, _ = spaces.apply_pointwise(phi, np.sinh, clamp=clamp)
-    h = spaces.laplacian(phi) - sinh_phi
-
-    def res(g: Field) -> Field:
-        vals, mask, _ = spaces.nodal_values_clamped(g, clamp=clamp)
-        sinh_g = spaces.from_nodal(np.sinh(vals), basis)
-        return -spaces.laplacian(g) + sinh_g + h
-
-    def dl(g: Field, r: Field) -> Field:
-        vals, mask, _ = spaces.nodal_values_clamped(g, clamp=clamp)
-        multiplier = np.cosh(vals) * mask
-        return -spaces.laplacian(r) + spaces.multiply_pointwise(multiplier, r)
-
-    def probe(g: Field) -> bool:
-        return spaces.nodal_values_clamped(g, clamp=clamp)[2]
-
-    n, d = basis.n, basis.dimension
     eigs = basis.eigenvalues
-    h_coeffs = h.coeffs
+    n, d = basis.n, basis.dimension
     l2_weight = spaces.HALF_WIDTH ** d
 
-    def fast_loss(coeffs: np.ndarray):
-        vals = spaces._to_nodal_raw(coeffs, n, d, 2)
-        mask = np.abs(vals) <= clamp
-        clamped = not bool(mask.all())
-        if clamped:
-            vals = np.clip(vals, -clamp, clamp)
-        res_c = -eigs * coeffs + spaces._from_nodal_raw(np.sinh(vals), n, d, 2) + h_coeffs
-        loss = 0.5 * l2_weight * float(np.dot(res_c, res_c))
-        res_vals = spaces._to_nodal_raw(res_c, n, d, 2)
-        dl = -eigs * res_c + spaces._from_nodal_raw(
-            np.cosh(vals) * mask * res_vals, n, d, 2
-        )
-        return loss, dl, clamped
+    def npbe_pieces(to_nodal, from_nodal):
+        """The clamped nodal values, the residual and its L2 gradient."""
+
+        def nodal(c: np.ndarray):
+            """Clamped nodal values of c, the unclamped mask, the clamp flag."""
+            vals = to_nodal(c)
+            mask = np.abs(vals) <= clamp
+            clamped = not bool(mask.all())
+            if clamped:
+                vals = np.clip(vals, -clamp, clamp)
+            return vals, mask, clamped
+
+        def residual(c: np.ndarray, vals: np.ndarray) -> np.ndarray:
+            return -eigs * c + from_nodal(np.sinh(vals)) + h
+
+        def gradient(r: np.ndarray, vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
+            return -eigs * r + from_nodal(np.cosh(vals) * mask * to_nodal(r))
+
+        return nodal, residual, gradient
+
+    nodal, residual, gradient = npbe_pieces(
+        lambda c: spaces.to_nodal(Field(c, basis)),
+        lambda v: spaces.from_nodal(v, basis).coeffs,
+    )
+    fast_nodal, fast_residual, fast_gradient = npbe_pieces(
+        lambda c: spaces._to_nodal_raw(c, n, d, 2),
+        lambda v: spaces._from_nodal_raw(v, n, d, 2),
+    )
+    h = eigs * phi.coeffs - spaces.from_nodal(np.sinh(nodal(phi.coeffs)[0]), basis).coeffs
+
+    def res(g: Field) -> Field:
+        return g.with_coeffs(residual(g.coeffs, nodal(g.coeffs)[0]))
+
+    def dl(g: Field, r: Field) -> Field:
+        vals, mask, _ = nodal(g.coeffs)
+        return r.with_coeffs(gradient(r.coeffs, vals, mask))
+
+    def compiled_loss(c: np.ndarray):
+        vals, mask, clamped = fast_nodal(c)
+        r = fast_residual(c, vals)
+        return 0.5 * l2_weight * float(np.dot(r, r)), fast_gradient(r, vals, mask), clamped
 
     return Problem(
         name=name,
@@ -195,10 +213,10 @@ def npbe_problem(
         gradient_metric=metric,
         basis=basis,
         known_solution=phi,
-        data_field=h,
+        data_field=phi.with_coeffs(h),
         clamp=clamp,
-        clamp_probe=probe,
-        compiled_loss=fast_loss,
+        clamp_probe=lambda g: nodal(g.coeffs)[2],
+        compiled_loss=compiled_loss,
     )
 
 

@@ -8,6 +8,8 @@ zero Dirichlet boundaries.  Basis functions are tensor products of
 which are eigenfunctions of the Laplacian with eigenvalue ``-(k/2)**2``.
 Both the Laplacian and the Sobolev inner products are diagonal in this
 basis, which keeps the metric conversion ``(I - Laplacian)**-k`` exact.
+Nonlinear terms go through ``to_nodal``/``from_nodal``, which map a field
+to its padded nodal cube and back.
 
 A nodal-grid basis also exists (plain coefficient = point value with
 quadrature weights); it backs Euclidean targets such as ``R^2`` and is
@@ -274,14 +276,10 @@ def metric_flat(grad: Field, source_metric: SobolevOrder) -> Field:
 # match finite differences of the discrete loss to near machine precision.
 
 
-def _padded_nodes(n: int, pad_factor: int) -> int:
-    return pad_factor * n
-
-
 @lru_cache(maxsize=8)
 def _nodal_matrices(n: int, pad_factor: int) -> tuple[np.ndarray, np.ndarray]:
     """Synthesis S (N x n) and analysis A = 2/(N+1) S^T (n x N), read-only."""
-    npad = _padded_nodes(n, pad_factor)
+    npad = pad_factor * n
     # reduce j*k modulo the period 2(N+1) exactly before scaling by pi/(N+1)
     phase = np.outer(np.arange(1, npad + 1), np.arange(1, n + 1)) % (2 * (npad + 1))
     synthesis = np.sin(np.pi / (npad + 1) * phase)
@@ -325,47 +323,10 @@ def from_nodal(values: np.ndarray, basis: Basis, pad_factor: int = 2) -> Field:
     if basis.kind != "sine":
         raise UnsupportedOperationError("nodal transform requires a sine basis")
     n, d = basis.n, basis.dimension
-    npad = _padded_nodes(n, pad_factor)
+    npad = pad_factor * n
     if values.shape != (npad,) * d:
         raise ShapeError(f"expected nodal cube of shape {(npad,) * d}")
     return Field(_from_nodal_raw(values, n, d, pad_factor), basis)
-
-
-def apply_pointwise(
-    g: Field,
-    fn,
-    clamp: float = DEFAULT_CLAMP,
-    pad_factor: int = 2,
-) -> tuple[Field, bool]:
-    """Apply a scalar function to a field through the nodal grid.
-
-    Nodal values beyond ``clamp`` in magnitude are clipped first; the second
-    return value reports whether clipping occurred.
-    """
-    vals = to_nodal(g, pad_factor)
-    clamped = bool(np.any(np.abs(vals) > clamp))
-    if clamped:
-        vals = np.clip(vals, -clamp, clamp)
-    return from_nodal(fn(vals), g.basis, pad_factor), clamped
-
-
-def multiply_pointwise(
-    multiplier_nodal: np.ndarray, v: Field, pad_factor: int = 2
-) -> Field:
-    """Multiply ``v`` by fixed nodal values; self-adjoint in discrete L2."""
-    return from_nodal(multiplier_nodal * to_nodal(v, pad_factor), v.basis, pad_factor)
-
-
-def nodal_values_clamped(
-    g: Field, clamp: float = DEFAULT_CLAMP, pad_factor: int = 2
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Clamped nodal values of ``g`` plus the active (unclamped) mask."""
-    vals = to_nodal(g, pad_factor)
-    mask = np.abs(vals) <= clamp
-    clamped = not bool(mask.all())
-    if clamped:
-        vals = np.clip(vals, -clamp, clamp)
-    return vals, mask, clamped
 
 
 # ---------------------------------------------------------------------------

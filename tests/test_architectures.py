@@ -291,7 +291,8 @@ class TestSpectralConsistency:
         assert rep.passed
 
     def test_dense_assembly_capped(self):
-        basis = sp.make_space(sp.Domain(3), 17)  # 4913 > 4096
+        basis = sp.make_space(sp.Domain(3), 17)
+        assert basis.size > ar.MAX_DENSE_SIZE
         fields = [sp.Field(np.eye(basis.size)[0], basis)]
         arch = ar.affine_architecture(fields)
         with pytest.raises(UnsupportedOperationError):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,23 @@ class TestDeterminism:
         assert np.array_equal(back.params, trace.params)
         assert back.terminal_reason == trace.terminal_reason
         assert traceio.trace_to_lines(back) == traceio.trace_to_lines(trace)
+
+    def test_reads_header_with_retired_loss_cap(self, quad_problem, basis_128, tmp_path):
+        # traces written while loss_cap was a FlowConfig field carry it
+        arch = ar.sinusoid_architecture(basis_128, 1)
+        w0 = ar.ParamVector(np.array([0.2, 1.1, 0.3]))
+        trace = fl.integrate_parametric(
+            quad_problem, arch, w0, fl.FlowConfig(t_end=1.0, record_every=0.1)
+        )
+        lines = traceio.trace_to_lines(trace)
+        header = json.loads(lines[0])
+        assert "loss_cap" not in header["config"]
+        header["config"]["loss_cap"] = 1e60
+        path = tmp_path / "old.jsonl"
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        back = traceio.read_trace(path)
+        assert back.config == trace.config
+        assert traceio.trace_to_lines(back) == lines
 
 
 class TestWorkCounters:

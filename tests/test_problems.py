@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradlab import problems as pr
 from gradlab import spaces as sp
@@ -110,6 +114,42 @@ class TestNominalLoss:
             pr.custom_problem(
                 basis_128, res, lambda g, r: r, known_solution=bad
             )
+
+
+@lru_cache(maxsize=None)
+def _npbe_on(d, n, metric):
+    basis = sp.make_space(sp.Domain(d), n)
+    return pr.npbe_problem(basis, sp.field_from_modes(basis, [(1, 0.6), (2, 0.25)]), metric)
+
+
+# ((d, n), seed, log10 of the state scale, metric); scales near 1e3 clamp
+_KERNEL_CASES = st.tuples(
+    st.sampled_from([(1, 8), (1, 24), (1, 61), (1, 256), (3, 4), (3, 9), (3, 17)]),
+    st.integers(0, 2**32 - 1),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([sp.SobolevOrder.W12, sp.SobolevOrder.W22]),
+)
+
+
+class TestFieldPathMatchesKernel:
+    """The NPBE Field callables and compiled_loss are one computation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_KERNEL_CASES)
+    def test_field_path_equals_compiled_loss(self, case):
+        (d, n), seed, log_scale, metric = case
+        p = _npbe_on(d, n, metric)
+        rng = np.random.default_rng(seed)
+        g = sp.Field(10.0**log_scale * rng.standard_normal(p.basis.size), p.basis)
+        loss, dl, clamped = p.compiled_loss(g.coeffs)
+        assert np.array_equal(p.l2_gradient_map(g, p.residual_map(g)).coeffs, dl)
+        assert p.clamp_probe(g) == clamped
+        ev = pr.nominal_loss(p, g)
+        sharp = sp.metric_sharp(sp.Field(dl, p.basis), metric)
+        assert np.array_equal(ev.gradient.coeffs, sharp.coeffs)
+        assert ev.clamped == clamped
+        # the two dot products round differently
+        assert abs(ev.value - loss) <= 4 * p.basis.size * np.finfo(float).eps * loss
 
 
 class TestCoercivityProbe:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dstn
 
+from gradlab import problems as pr
 from gradlab import spaces as sp
 from gradlab.errors import ConfigurationError, ShapeError, UnsupportedOperationError
 
@@ -186,17 +187,25 @@ class TestNodalTransforms:
         v = sp.Field(rng.standard_normal(64), basis_64)
         w = sp.Field(rng.standard_normal(64), basis_64)
         mult = np.cosh(np.clip(sp.to_nodal(v), -50, 50))
-        lhs = sp.inner_product(sp.multiply_pointwise(mult, v), w)
-        rhs = sp.inner_product(v, sp.multiply_pointwise(mult, w))
+
+        def times(f):
+            return sp.from_nodal(mult * sp.to_nodal(f), basis_64)
+
+        lhs = sp.inner_product(times(v), w)
+        rhs = sp.inner_product(v, times(w))
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_clamp_flag(self, basis_64):
-        big = sp.field_from_modes(basis_64, [(1, 100.0)])
-        _, clamped = sp.apply_pointwise(big, np.sinh)
-        assert clamped
-        small = sp.field_from_modes(basis_64, [(1, 0.5)])
-        _, clamped = sp.apply_pointwise(small, np.sinh)
-        assert not clamped
+        # the NPBE clamp probe reads the flag off the nodal values
+        probe = pr.npbe_problem(basis_64, sp.zero_field(basis_64)).clamp_probe
+        assert probe(sp.field_from_modes(basis_64, [(1, 100.0)]))
+        assert not probe(sp.field_from_modes(basis_64, [(1, 0.5)]))
+
+    def test_checks_basis_and_shape(self, basis_64):
+        with pytest.raises(UnsupportedOperationError):
+            sp.to_nodal(sp.zero_field(sp.make_euclidean(2)))
+        with pytest.raises(ShapeError):
+            sp.from_nodal(np.zeros(64), basis_64)
 
 
 def _dstn_to_nodal(coeffs, n, d, pad_factor):
@@ -242,12 +251,13 @@ class TestNodalMatrices:
         values = 10.0**log_scale * rng.standard_normal((npad,) * d)
         tol = 8 * npad * np.finfo(float).eps
 
-        nodal = sp._to_nodal_raw(coeffs, n, d, pad)
+        basis = sp.make_space(sp.Domain(d), n)
+        nodal = sp.to_nodal(sp.Field(coeffs, basis), pad)
         ref_nodal = _dstn_to_nodal(coeffs, n, d, pad)
         assert nodal.shape == (npad,) * d
         assert np.max(np.abs(nodal - ref_nodal)) <= tol * np.max(np.abs(ref_nodal))
 
-        back = sp._from_nodal_raw(values, n, d, pad)
+        back = sp.from_nodal(values, basis, pad).coeffs
         ref_back = _dstn_from_nodal(values, n, d, pad)
         assert back.shape == (n**d,)
         assert np.max(np.abs(back - ref_back)) <= tol * np.max(np.abs(values))
