@@ -5,9 +5,10 @@ another), ``grow``/``eci`` (expansion loop), ``spectrum``
 (kernel eigenvalue tables), ``coverage-demo`` (plane-coverage brute force),
 and ``analyze`` (re-run analysis on an existing trace file).
 
-Exit codes: 0 success, 1 configuration error, 2 divergence, 3 expansion
-rejected.  Output payloads are byte-identical across repeated runs with
-the same config and seed; only manifest timestamps differ.
+Exit codes: 0 success, 1 configuration error, 2 divergence (in a run, or
+raised while setting one up), 3 expansion rejected.  Every failure prints
+one line on stderr.  Output payloads are byte-identical across repeated
+runs with the same config and seed; only manifest timestamps differ.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from . import flows as flow_mod
 from . import growth as growth_mod
 from . import spaces
 from . import traceio
-from .errors import ConfigurationError, ExpansionRejectedError, GradlabError
+from .errors import (
+    ConfigurationError,
+    DivergenceError,
+    ExpansionRejectedError,
+    GradlabError,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -43,20 +49,43 @@ def _now() -> str:
 
 def _out_dir(args, cfg) -> Path:
     if args.out is not None:
-        out = Path(args.out)
-    elif os.environ.get(OUTPUT_DIR_ENV):
-        out = Path(os.environ[OUTPUT_DIR_ENV])
-    elif cfg is not None and cfg.get("output", "dir") is not None:
-        out = Path(cfg.get("output", "dir"))
-    else:
-        out = Path("out")
-    return out
+        return Path(args.out)
+    if os.environ.get(OUTPUT_DIR_ENV):
+        return Path(os.environ[OUTPUT_DIR_ENV])
+    return Path(cfg.get("output", "dir", "out"))
 
 
 def _resolve_out_dir(args, cfg) -> Path:
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _guard(command, *args) -> int:
+    """Run ``command(*args)`` and map gradlab's errors to exit codes, with
+    one stderr line each.  Any other exception is a bug and propagates."""
+    try:
+        return command(*args)
+    except (ConfigurationError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DivergenceError as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
+    except GradlabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def _finish(out: Path, stem: str, cfg, started: str, files: list[str]) -> None:
+    """Write ``<out>/<stem>_manifest.json`` listing the command's outputs."""
+    traceio.write_manifest(
+        out / f"{stem}_manifest.json",
+        traceio.config_hash(cfg.flat_pairs()),
+        started,
+        _now(),
+        files,
+    )
 
 
 def _write_analysis_csv(path, rows):
@@ -132,59 +161,47 @@ def cmd_run(args) -> int:
             )
             return EXIT_CONFIG
         writers[prefix] = path
-    return max([_run_single(path, args) for path in args.config])
+    return max([_guard(_run_single, path, args) for path in args.config])
 
 
 def _run_single(config_path, args) -> int:
     started = _now()
-    try:
-        cfg = config_mod.load_config(config_path)
-        problem = config_mod.build_problem(cfg)
-        flow_kind = cfg.get("flow", "kind", "parametric")
-        flow_cfg = config_mod.build_flow_config(cfg, args.seed)
-        out = _resolve_out_dir(args, cfg)
-        if flow_kind == "nominal":
-            g0 = config_mod.initial_field(cfg, problem.basis)
-            trace = flow_mod.integrate_nominal(problem, g0, flow_cfg)
-            arch = None
-        elif flow_kind in ("parametric", "annealed"):
-            arch = config_mod.build_architecture(cfg, problem.basis)
-            w0 = config_mod.initial_params(cfg, arch)
-            if flow_kind == "annealed":
-                if flow_cfg.noise_beta <= 0:
-                    raise ConfigurationError(
-                        "flow.noise_beta: must be > 0 for the annealed flow"
-                    )
-                trace = flow_mod.integrate_annealed(problem, arch, w0, flow_cfg)
-            else:
-                trace = flow_mod.integrate_parametric(problem, arch, w0, flow_cfg)
+    cfg = config_mod.load_config(config_path)
+    problem = config_mod.build_problem(cfg)
+    flow_kind = cfg.get("flow", "kind", "parametric")
+    flow_cfg = config_mod.build_flow_config(cfg, args.seed)
+    out = _resolve_out_dir(args, cfg)
+    arch = None
+    if flow_kind == "nominal":
+        g0 = config_mod.initial_field(cfg, problem.basis)
+        trace = flow_mod.integrate_nominal(problem, g0, flow_cfg)
+    elif flow_kind in ("parametric", "annealed"):
+        arch = config_mod.build_architecture(cfg, problem.basis)
+        w0 = config_mod.initial_params(cfg, arch)
+        if flow_kind == "annealed":
+            if flow_cfg.noise_beta <= 0:
+                raise ConfigurationError(
+                    "flow.noise_beta: must be > 0 for the annealed flow"
+                )
+            trace = flow_mod.integrate_annealed(problem, arch, w0, flow_cfg)
         else:
-            raise ConfigurationError(f"flow.kind: unknown kind '{flow_kind}'")
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GradlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            trace = flow_mod.integrate_parametric(problem, arch, w0, flow_cfg)
+    else:
+        raise ConfigurationError(f"flow.kind: unknown kind '{flow_kind}'")
 
     stem = Path(config_path).stem
-    files = []
     trace_path = out / f"{stem}_trace.jsonl"
     traceio.write_trace(trace_path, trace)
-    files.append(trace_path.name)
+    files = [trace_path.name]
     if flow_kind == "nominal":
         field_path = out / f"{stem}_terminal.field"
-        with open(field_path, "wb") as fh:
-            fh.write(spaces.field_to_bytes(trace.terminal_state))
+        field_path.write_bytes(spaces.field_to_bytes(trace.terminal_state))
         files.append(field_path.name)
     if cfg.has("analysis"):
         csv_path = out / f"{stem}_analysis.csv"
         _write_analysis_csv(csv_path, [_analysis_row(stem, cfg, trace, problem, arch)])
         files.append(csv_path.name)
-    manifest = out / f"{stem}_manifest.json"
-    traceio.write_manifest(
-        manifest, traceio.config_hash(cfg.flat_pairs()), started, _now(), files
-    )
+    _finish(out, stem, cfg, started, files)
     print(
         f"{stem}: {trace.terminal_reason} at t={trace.t[-1]:.6g}, "
         f"loss={trace.loss[-1]:.6g}, samples={trace.n_samples}"
@@ -195,127 +212,78 @@ def _run_single(config_path, args) -> int:
 def cmd_grow(args) -> int:
     started = _now()
     config_path = args.config[0]
-    try:
-        cfg = config_mod.load_config(config_path)
-        problem = config_mod.build_problem(cfg)
-        arch = config_mod.build_architecture(cfg, problem.basis)
-        w0 = config_mod.initial_params(cfg, arch)
-        flow_cfg = config_mod.build_flow_config(cfg, args.seed)
-        sched = config_mod.build_growth_schedule(cfg)
-        out = _resolve_out_dir(args, cfg)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = config_mod.load_config(config_path)
+    problem = config_mod.build_problem(cfg)
+    arch = config_mod.build_architecture(cfg, problem.basis)
+    w0 = config_mod.initial_params(cfg, arch)
+    flow_cfg = config_mod.build_flow_config(cfg, args.seed)
+    sched = config_mod.build_growth_schedule(cfg)
+    out = _resolve_out_dir(args, cfg)
 
     code = EXIT_OK
     try:
         gtrace = growth_mod.run_growth_loop(problem, arch, w0, sched, flow_cfg)
     except ExpansionRejectedError as exc:
+        # the levels grown before the rejection are still written
         print(f"expansion rejected: {exc}", file=sys.stderr)
-        gtrace = getattr(exc, "growth_trace", None)
+        gtrace = exc.growth_trace
         code = EXIT_EXPANSION_REJECTED
-    except GradlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     stem = Path(config_path).stem
     files = []
-    if gtrace is not None:
-        rows = []
-        for i, seg in enumerate(gtrace.segments):
-            event = gtrace.expansions[i] if i < len(gtrace.expansions) else None
-            rows.append(
-                [
-                    i + 1,
-                    seg.params.shape[1] if seg.params is not None else "",
-                    float(seg.t[0]),
-                    float(seg.t[-1]),
-                    float(seg.loss[0]),
-                    float(seg.loss[-1]),
-                    seg.terminal_reason,
-                    "expanded" if event is not None else (
-                        "converged" if gtrace.converged and i == len(gtrace.segments) - 1
-                        else "exhausted"
-                    ),
-                    event.min_nonzero_eig_after if event is not None else "",
-                    gtrace.final_error if i == len(gtrace.segments) - 1 and gtrace.final_error is not None else "",
-                ]
-            )
-            seg_path = out / f"{stem}_level{i + 1}_trace.jsonl"
-            traceio.write_trace(seg_path, seg)
-            files.append(seg_path.name)
-        summary = out / f"{stem}_growth.csv"
-        traceio.write_csv(
-            summary,
+    rows = []
+    last = len(gtrace.segments) - 1
+    for i, seg in enumerate(gtrace.segments):
+        event = gtrace.expansions[i] if i < len(gtrace.expansions) else None
+        rows.append(
             [
-                "level", "n_params", "t_start", "t_end", "start_loss", "end_loss",
-                "terminal_reason", "verdict", "min_nonzero_eig_after", "model_error",
-            ],
-            rows,
+                i + 1,
+                seg.params.shape[1] if seg.params is not None else "",
+                float(seg.t[0]),
+                float(seg.t[-1]),
+                float(seg.loss[0]),
+                float(seg.loss[-1]),
+                seg.terminal_reason,
+                "expanded" if event is not None else (
+                    "converged" if gtrace.converged and i == last else "exhausted"
+                ),
+                event.min_nonzero_eig_after if event is not None else "",
+                gtrace.final_error if i == last and gtrace.final_error is not None else "",
+            ]
         )
-        files.append(summary.name)
-        if gtrace.segments:
-            print(
-                f"{stem}: {'converged' if gtrace.converged else 'stopped'} "
-                f"after {len(gtrace.expansions)} expansion(s), "
-                f"final loss {gtrace.final_loss:.6g}"
-            )
-        if any(seg.terminal_reason == "divergence" for seg in gtrace.segments):
-            code = max(code, EXIT_DIVERGENCE)
-    manifest = out / f"{stem}_manifest.json"
-    traceio.write_manifest(
-        manifest, traceio.config_hash(cfg.flat_pairs()), started, _now(), files
+        seg_path = out / f"{stem}_level{i + 1}_trace.jsonl"
+        traceio.write_trace(seg_path, seg)
+        files.append(seg_path.name)
+    summary = out / f"{stem}_growth.csv"
+    traceio.write_csv(
+        summary,
+        [
+            "level", "n_params", "t_start", "t_end", "start_loss", "end_loss",
+            "terminal_reason", "verdict", "min_nonzero_eig_after", "model_error",
+        ],
+        rows,
     )
+    files.append(summary.name)
+    print(
+        f"{stem}: {'converged' if gtrace.converged else 'stopped'} "
+        f"after {len(gtrace.expansions)} expansion(s), "
+        f"final loss {gtrace.final_loss:.6g}"
+    )
+    if any(seg.terminal_reason == "divergence" for seg in gtrace.segments):
+        code = max(code, EXIT_DIVERGENCE)
+    _finish(out, stem, cfg, started, files)
     return code
-
-
-def _spectrum_param_sets(cfg, arch, seed_override=None):
-    m = arch.n_params
-    explicit = cfg.get("spectrum", "w")
-    if explicit is not None:
-        sets = []
-        for chunk in explicit.split(";"):
-            values = config_mod._parse_floats(chunk, "spectrum.w")
-            if len(values) != m:
-                raise ConfigurationError(
-                    f"spectrum.w: expected {m} values per set, got {len(values)}"
-                )
-            sets.append(np.array(values))
-        return sets
-    sweep = cfg.get("spectrum", "sweep")
-    if sweep is not None:
-        if m != 1:
-            raise ConfigurationError("spectrum.sweep: only for 1-parameter families")
-        try:
-            lo, hi, num = sweep.split(":")
-            return [np.array([w]) for w in np.linspace(float(lo), float(hi), int(num))]
-        except ValueError:
-            raise ConfigurationError(
-                "spectrum.sweep: expected 'start:stop:count'"
-            ) from None
-    count = cfg.get_int("spectrum", "count", 5)
-    seed = cfg.get_int("spectrum", "seed", 0) if seed_override is None else seed_override
-    rng = np.random.default_rng(seed)
-    return [rng.uniform(-3.0, 3.0, size=m) for _ in range(count)]
 
 
 def cmd_spectrum(args) -> int:
     started = _now()
     config_path = args.config[0]
-    try:
-        cfg = config_mod.load_config(config_path)
-        problem = config_mod.build_problem(cfg) if cfg.has("problem") else None
-        basis = problem.basis if problem is not None else None
-        arch = config_mod.build_architecture(cfg, basis)
-        metric_text = cfg.get("spectrum", "metric", "l2")
-        metric = config_mod._METRICS.get(metric_text.lower())
-        if metric is None:
-            raise ConfigurationError(f"spectrum.metric: unknown '{metric_text}'")
-        sets = _spectrum_param_sets(cfg, arch, args.seed)
-        out = _resolve_out_dir(args, cfg)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = config_mod.load_config(config_path)
+    problem = config_mod.build_problem(cfg) if cfg.has("problem") else None
+    basis = problem.basis if problem is not None else None
+    arch = config_mod.build_architecture(cfg, basis)
+    metric, sets = config_mod.build_spectrum(cfg, arch, args.seed)
+    out = _resolve_out_dir(args, cfg)
 
     m = arch.n_params
     rows = []
@@ -351,10 +319,7 @@ def cmd_spectrum(args) -> int:
     stem = Path(config_path).stem
     csv_path = out / f"{stem}_spectrum.csv"
     traceio.write_csv(csv_path, header, rows)
-    manifest = out / f"{stem}_manifest.json"
-    traceio.write_manifest(
-        manifest, traceio.config_hash(cfg.flat_pairs()), started, _now(), [csv_path.name]
-    )
+    _finish(out, stem, cfg, started, [csv_path.name])
     print(f"{stem}: {len(rows)} spectra written")
     return EXIT_OK
 
@@ -376,12 +341,8 @@ def coverage_distances(targets: np.ndarray, grid_max: float, grid_step: float):
 def cmd_coverage_demo(args) -> int:
     started = _now()
     config_path = args.config[0]
-    try:
-        cfg = config_mod.load_config(config_path)
-        out = _resolve_out_dir(args, cfg)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = config_mod.load_config(config_path)
+    out = _resolve_out_dir(args, cfg)
     count = cfg.get_int("coverage", "count", 100)
     seed = cfg.get_int("coverage", "seed", 0) if args.seed is None else args.seed
     box = cfg.get_float("coverage", "box", 100.0)
@@ -405,14 +366,7 @@ def cmd_coverage_demo(args) -> int:
         ["median_line_distance", "median_spiral_distance"],
         [[d_line_med, d_spiral_med]],
     )
-    manifest = out / f"{stem}_manifest.json"
-    traceio.write_manifest(
-        manifest,
-        traceio.config_hash(cfg.flat_pairs()),
-        started,
-        _now(),
-        [csv_path.name, summary_path.name],
-    )
+    _finish(out, stem, cfg, started, [csv_path.name, summary_path.name])
     print(
         f"{stem}: median line distance {d_line_med:.4f}, "
         f"median spiral distance {d_spiral_med:.4f}"
@@ -422,21 +376,13 @@ def cmd_coverage_demo(args) -> int:
 
 def cmd_analyze(args) -> int:
     started = _now()
-    config_path = args.config[0]
-    try:
-        cfg = config_mod.load_config(config_path)
-        out = _resolve_out_dir(args, cfg)
-        trace = traceio.read_trace(args.trace)
-    except (ConfigurationError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = config_mod.load_config(args.config[0])
+    out = _resolve_out_dir(args, cfg)
+    trace = traceio.read_trace(args.trace)
     stem = Path(args.trace).stem
     csv_path = out / f"{stem}_analysis.csv"
     _write_analysis_csv(csv_path, [_analysis_row(stem, cfg, trace)])
-    manifest = out / f"{stem}_manifest.json"
-    traceio.write_manifest(
-        manifest, traceio.config_hash(cfg.flat_pairs()), started, _now(), [csv_path.name]
-    )
+    _finish(out, stem, cfg, started, [csv_path.name])
     print(f"{stem}: analysis written")
     return EXIT_OK
 
@@ -480,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return _guard(args.func, args)
 
 
 if __name__ == "__main__":

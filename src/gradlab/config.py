@@ -154,6 +154,21 @@ def _parse_floats(text: str, where: str) -> list[float]:
         raise ConfigurationError(f"{where}: expected comma-separated floats") from None
 
 
+def _param_values(text: str, where: str, m: int) -> np.ndarray:
+    values = _parse_floats(text, where)
+    if len(values) != m:
+        raise ConfigurationError(f"{where}: expected {m} values, got {len(values)}")
+    return np.array(values)
+
+
+def _metric(cfg: ExperimentConfig, section: str, default: str) -> SobolevOrder:
+    text = cfg.get(section, "metric", default)
+    metric = _METRICS.get(text.lower())
+    if metric is None:
+        raise ConfigurationError(f"{section}.metric: unknown metric '{text}'")
+    return metric
+
+
 def build_problem(cfg: ExperimentConfig):
     if not cfg.has("problem"):
         raise ConfigurationError("missing [problem] section")
@@ -170,10 +185,7 @@ def build_problem(cfg: ExperimentConfig):
     if phi_text is None:
         raise ConfigurationError("problem.phi: manufactured solution is required")
     phi = spaces.field_from_modes(basis, _parse_modes(phi_text, "problem.phi"))
-    metric_text = cfg.get("problem", "metric", "l2" if kind == "quadratic" else "w22")
-    metric = _METRICS.get(metric_text.lower())
-    if metric is None:
-        raise ConfigurationError(f"problem.metric: unknown metric '{metric_text}'")
+    metric = _metric(cfg, "problem", "l2" if kind == "quadratic" else "w22")
     name = cfg.get("problem", "name", kind)
     if kind == "quadratic":
         return prob_mod.quadratic_problem(basis, phi, metric, name=name)
@@ -213,12 +225,7 @@ def initial_params(cfg: ExperimentConfig, arch: ArchitectureSpec) -> ParamVector
     m = arch.n_params
     w0_text = cfg.get("architecture", "w0")
     if w0_text is not None:
-        values = _parse_floats(w0_text, "architecture.w0")
-        if len(values) != m:
-            raise ConfigurationError(
-                f"architecture.w0: expected {m} values, got {len(values)}"
-            )
-        return ParamVector(np.array(values))
+        return ParamVector(_param_values(w0_text, "architecture.w0", m))
     init = cfg.get("architecture", "init", "normal")
     scale = cfg.get_float("architecture", "init_scale", 1.0)
     seed = cfg.get_int("architecture", "init_seed", 0)
@@ -278,3 +285,29 @@ def initial_field(cfg: ExperimentConfig, basis) -> Field:
     if g0_text is None:
         return spaces.zero_field(basis)
     return spaces.field_from_modes(basis, _parse_modes(g0_text, "flow.g0"))
+
+
+def build_spectrum(cfg: ExperimentConfig, arch: ArchitectureSpec, seed_override=None):
+    """The [spectrum] metric and the parameter sets to tabulate: explicit
+    ``w`` sets, a 1-parameter ``sweep``, or ``count`` seeded uniform draws."""
+    metric = _metric(cfg, "spectrum", "l2")
+    m = arch.n_params
+    explicit = cfg.get("spectrum", "w")
+    if explicit is not None:
+        return metric, [_param_values(chunk, "spectrum.w", m) for chunk in explicit.split(";")]
+    sweep = cfg.get("spectrum", "sweep")
+    if sweep is not None:
+        if m != 1:
+            raise ConfigurationError("spectrum.sweep: only for 1-parameter families")
+        try:
+            lo, hi, num = sweep.split(":")
+            grid = np.linspace(float(lo), float(hi), int(num))
+        except ValueError:
+            raise ConfigurationError(
+                "spectrum.sweep: expected 'start:stop:count'"
+            ) from None
+        return metric, [np.array([w]) for w in grid]
+    count = cfg.get_int("spectrum", "count", 5)
+    seed = cfg.get_int("spectrum", "seed", 0) if seed_override is None else seed_override
+    rng = np.random.default_rng(seed)
+    return metric, [rng.uniform(-3.0, 3.0, size=m) for _ in range(count)]

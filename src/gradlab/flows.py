@@ -22,6 +22,7 @@ and safe to analyze concurrently.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,26 +372,23 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
             counters["jac_evals"] = int(stepper.njev)
         return builder.finish(reason, make_state(y), detail, counters)
 
-    try:
-        sample0 = eval_sample(np.asarray(y0, dtype=np.float64))
-    except DivergenceError:
-        raise ConfigurationError("initial state already has non-finite loss")
-
     def record(t, y, sample):
         loss, gnorm, extras = sample
         if not np.isfinite(loss) or loss > LOSS_CAP:
             raise DivergenceError("loss diverged", last_finite=None)
         builder.add(t, loss, gnorm, **extras)
 
-    builder_kwargs = sample0[2]
-    builder = _TraceBuilder(
-        kind,
-        cfg,
-        with_mu="mu" in builder_kwargs,
-        with_params=builder_kwargs.get("params") is not None,
-    )
-
     try:
+        # a non-finite start is reported as such, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample0 = eval_sample(np.asarray(y0, dtype=np.float64))
+        builder_kwargs = sample0[2]
+        builder = _TraceBuilder(
+            kind,
+            cfg,
+            with_mu="mu" in builder_kwargs,
+            with_params=builder_kwargs.get("params") is not None,
+        )
         record(0.0, y0, sample0)
     except DivergenceError:
         raise ConfigurationError("initial state already has non-finite loss")
@@ -408,39 +406,44 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
         atol=cfg.abs_tol,
     )
     next_t = dt
-    while stepper.status == "running":
-        y_prev = stepper.y
-        try:
-            stepper.step()
-        except (DivergenceError, FloatingPointError, OverflowError):
-            return finish("divergence", stepper.y, "rhs diverged")
-        if stepper.status == "failed":
-            return finish("divergence", stepper.y, "integrator step failure")
-        if not np.all(np.isfinite(stepper.y)):
-            return finish("divergence", y_prev, "non-finite state")
-        n_steps += 1
-        dense = stepper.dense_output()
-        while next_t <= stepper.t + 1e-12 * max(1.0, abs(stepper.t)):
-            ts = min(next_t, stepper.t)
-            ys = dense(ts)
+    with warnings.catch_warnings():
+        # LSODA reports a failed step by a UserWarning: put it in the trace
+        warnings.filterwarnings("error", message="lsoda: ", category=UserWarning)
+        while stepper.status == "running":
+            y_prev = stepper.y
             try:
-                sample = eval_sample(ys)
-                record(ts, ys, sample)
-            except DivergenceError:
-                return finish("divergence", ys, "loss diverged")
-            if sample[1] < cfg.grad_stop:
-                return finish("grad_stop", ys)
-            stall = builder.stalled()
-            if stall is not None:
-                builder.events.append(FlowEvent(ts, "stall", stall))
-                return finish("stall", ys, stall)
-            next_t += dt
-        if n_steps >= cfg.max_steps:
-            return finish(
-                "divergence",
-                stepper.y,
-                f"step budget exhausted at t={stepper.t:.3e} (h={stepper.step_size:.1e})",
-            )
+                stepper.step()
+            except (DivergenceError, FloatingPointError, OverflowError):
+                return finish("divergence", stepper.y, "rhs diverged")
+            except UserWarning as exc:
+                return finish("divergence", stepper.y, f"integrator step failure: {exc}")
+            if stepper.status == "failed":
+                return finish("divergence", stepper.y, "integrator step failure")
+            if not np.all(np.isfinite(stepper.y)):
+                return finish("divergence", y_prev, "non-finite state")
+            n_steps += 1
+            dense = stepper.dense_output()
+            while next_t <= stepper.t + 1e-12 * max(1.0, abs(stepper.t)):
+                ts = min(next_t, stepper.t)
+                ys = dense(ts)
+                try:
+                    sample = eval_sample(ys)
+                    record(ts, ys, sample)
+                except DivergenceError:
+                    return finish("divergence", ys, "loss diverged")
+                if sample[1] < cfg.grad_stop:
+                    return finish("grad_stop", ys)
+                stall = builder.stalled()
+                if stall is not None:
+                    builder.events.append(FlowEvent(ts, "stall", stall))
+                    return finish("stall", ys, stall)
+                next_t += dt
+            if n_steps >= cfg.max_steps:
+                return finish(
+                    "divergence",
+                    stepper.y,
+                    f"step budget exhausted at t={stepper.t:.3e} (h={stepper.step_size:.1e})",
+                )
     # clean t_end arrival: record the final point if the grid missed it
     if builder.t[-1] < cfg.t_end - 1e-12 * cfg.t_end:
         try:

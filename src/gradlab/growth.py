@@ -283,12 +283,7 @@ def run_growth_loop(
     rng = np.random.default_rng(sched.frequency_seed)
     forced = list(sched.forced_frequencies)
     # the stall loss floor is exactly the solution tolerance here
-    cfg = flow_mod.FlowConfig(
-        **{
-            **{k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
-            "stall_loss_floor": sched.solution_tol,
-        }
-    )
+    cfg = replace(cfg, stall_loss_floor=sched.solution_tol)
     arch, w = a1, w0
     segments: list[FlowTrace] = []
     expansions: list[ExpansionEvent] = []

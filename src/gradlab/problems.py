@@ -29,6 +29,13 @@ from .errors import ConfigurationError, DivergenceError
 from .spaces import Field, SobolevOrder
 
 
+# A known solution must have a loss of at most KNOWN_SOLUTION_RTOL times the
+# zero field's (a residual 1e-12 of the data's size, which rounding reaches
+# and a wrong solution does not), or at most KNOWN_SOLUTION_FLOOR.
+KNOWN_SOLUTION_RTOL = 1e-24
+KNOWN_SOLUTION_FLOOR = 1e-20
+
+
 @dataclass(frozen=True)
 class Problem:
     """A residual map with its loss convention and gradient metric.
@@ -54,11 +61,16 @@ class Problem:
     compiled_loss: object = None
 
     def __post_init__(self):
-        if self.known_solution is not None:
-            check = nominal_loss(self, self.known_solution)
-            if check.value > 1e-20:
+        if self.known_solution is None:
+            return
+        value = nominal_loss(self, self.known_solution).value
+        if value > KNOWN_SOLUTION_FLOOR:
+            zero = self.residual_map(spaces.zero_field(self.basis))
+            with np.errstate(over="ignore"):
+                scale = 0.5 * spaces.inner_product(zero, zero, SobolevOrder.L2)
+            if not value <= KNOWN_SOLUTION_RTOL * scale:
                 raise ConfigurationError(
-                    f"known solution of '{self.name}' has loss {check.value:.3e}"
+                    f"known solution of '{self.name}' has loss {value:.3e}"
                 )
 
 

@@ -86,43 +86,46 @@ def write_trace(path, trace: FlowTrace) -> None:
             fh.write(line + "\n")
 
 
+# the keys that read_trace needs in each kind of record
+_RECORD_KEYS = {
+    "header": {"kind", "config"},
+    "sample": {"t", "loss", "grad_norm"},
+    "terminal": {"reason"},
+}
+
+
 def read_trace(path) -> FlowTrace:
     """Rebuild a trace from a JSONL file (terminal field states are not
     reconstructed; parameter states are)."""
-    header = None
-    samples = []
-    terminal = None
+    records = {kind: [] for kind in _RECORD_KEYS}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            if rec.get("record") == "header":
-                header = rec
-            elif rec.get("record") == "sample":
-                samples.append(rec)
-            elif rec.get("record") == "terminal":
-                terminal = rec
-    if header is None or terminal is None or not samples:
+            try:
+                rec = json.loads(line)
+                complete = _RECORD_KEYS[rec["record"]] <= rec.keys()
+            except (ValueError, TypeError, KeyError):
+                complete = False
+            if not complete:
+                raise ConfigurationError(f"{path}, line {lineno}: not a trace record")
+            records[rec["record"]].append(rec)
+    samples = records["sample"]
+    if not records["header"] or not records["terminal"] or not samples:
         raise ConfigurationError(f"{path} is not a complete trace file")
+    header, terminal = records["header"][-1], records["terminal"][-1]
     cfg_fields = set(FlowConfig.__dataclass_fields__)
     cfg = FlowConfig(
         **{k: v for k, v in header["config"].items() if k in cfg_fields}
     )
-    t = np.array([s["t"] for s in samples])
-    loss = np.array([s["loss"] for s in samples])
-    grad = np.array([s["grad_norm"] for s in samples])
-    mu = (
-        np.array([s.get("min_nonzero_eig", np.nan) for s in samples])
-        if any("min_nonzero_eig" in s for s in samples)
-        else None
-    )
-    err = (
-        np.array([s.get("model_error", np.nan) for s in samples])
-        if any("model_error" in s for s in samples)
-        else None
-    )
+
+    def column(key):
+        """The samples' ``key`` values, NaN where a sample has none; None
+        when no sample has one."""
+        if any(key in s for s in samples):
+            return np.array([s.get(key, np.nan) for s in samples])
+        return None
+
     params = (
         np.array([s["w"] for s in samples]) if all("w" in s for s in samples) else None
     )
@@ -137,11 +140,11 @@ def read_trace(path) -> FlowTrace:
     )
     return FlowTrace(
         kind=header["kind"],
-        t=t,
-        loss=loss,
-        grad_norm=grad,
-        min_nonzero_eig=mu,
-        model_error=err,
+        t=column("t"),
+        loss=column("loss"),
+        grad_norm=column("grad_norm"),
+        min_nonzero_eig=column("min_nonzero_eig"),
+        model_error=column("model_error"),
         params=params,
         events=events,
         terminal_reason=terminal["reason"],

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 
 from gradlab import cli
 from gradlab import traceio
+from gradlab.errors import DivergenceError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 QUAD_DEMO = """
 [problem]
@@ -65,6 +69,25 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+ABSURD_NOMINAL = """
+[problem]
+kind = npbe
+resolution = 128
+phi = 1:0.1
+
+[flow]
+kind = nominal
+t_end = 10
+g0 = 1:1e6
+max_steps = 2000
+"""
+
+HUGE_PHI = (CONFIGS / "npbe_solve.ini").read_text().replace(
+    "phi = 1:0.6, 2:0.25", "phi = 1:1e200, 2:1e200"
+)
+assert "1e200" in HUGE_PHI
+
+
 class TestRun:
     def test_quadratic_demo(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUAD_DEMO)
@@ -79,7 +102,7 @@ class TestRun:
     def test_npbe_demo_work_budget(self, tmp_path):
         # the stiff NPBE pullback: LSODA needs about 1.5k right-hand sides
         # where an explicit RK45 needed about 57k
-        config = Path(__file__).resolve().parents[1] / "configs" / "npbe_solve.ini"
+        config = CONFIGS / "npbe_solve.ini"
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
         trace = traceio.read_trace(out / "npbe_solve_trace.jsonl")
@@ -90,7 +113,7 @@ class TestRun:
     def test_npbe_demo_stiff_start_converges_at_n512(self, tmp_path):
         # LSODA's first step here is about 4.5e-12, far below t_end; a stiff
         # start that goes on to converge is not a divergence
-        config = Path(__file__).resolve().parents[1] / "configs" / "npbe_solve.ini"
+        config = CONFIGS / "npbe_solve.ini"
         cfg = tmp_path / "npbe512.ini"
         text = config.read_text()
         assert "resolution = 24" in text
@@ -116,24 +139,13 @@ class TestRun:
         assert "flow2" in capsys.readouterr().err
 
     def test_absurd_initial_field_diverges(self, tmp_path):
-        npbe_cfg = """
-[problem]
-kind = npbe
-resolution = 128
-phi = 1:0.1
-
-[flow]
-kind = nominal
-t_end = 10
-g0 = 1:1e6
-max_steps = 2000
-"""
-        cfg = write_config(tmp_path, npbe_cfg)
+        cfg = write_config(tmp_path, ABSURD_NOMINAL)
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         trace = traceio.read_trace(tmp_path / "out" / "cfg_trace.jsonl")
         assert trace.terminal_reason == "divergence"
         assert any(e.kind == "clamp" for e in trace.events)
+        assert "lsoda: Repeated convergence failures" in trace.events[-1].detail
 
     def test_manifest_lists_every_output(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_DEMO)
@@ -496,3 +508,97 @@ w = 1.0; 2.0; 3.0
             ["analyze", "--config", str(cfg), "--out", str(out), str(seg)]
         )
         assert code == 0
+
+
+def _input_case(tmp_path):
+    """Inputs that must end in one stderr line and exit 1, each as the argv
+    of one command, built inside ``tmp_path``."""
+    sinusoid = "[problem]\nkind = quadratic\nresolution = 64\nphi = 1:0.5\n\n"
+    sinusoid += "[architecture]\nkind = sinusoid\na = 1\n\n"
+    bad_w = write_config(tmp_path, sinusoid + "[spectrum]\nw = nan, 1, 1\n", "w.ini")
+    spiral = write_config(tmp_path, "[architecture]\nkind = spiral\n\n[spectrum]\nmetric = w12\n", "s.ini")
+    not_json = tmp_path / "t.jsonl"
+    not_json.write_text("not json\n")
+    grow = (CONFIGS / "growth_demo.ini").read_text()
+    assert "w0 = 0.2, 1.3, 0.1" in grow
+    nan_grow = write_config(tmp_path, grow.replace("w0 = 0.2, 1.3, 0.1", "w0 = nan, 1.3, 0.1"), "g.ini")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = str(tmp_path / "out")
+    cases = {
+        "spectrum_nan_w": ["spectrum", "--config", str(bad_w), "--out", out],
+        "spectrum_spiral_w12": ["spectrum", "--config", str(spiral), "--out", out],
+        "analyze_not_json": ["analyze", "--config", str(CONFIGS / "quadratic_fit.ini"), "--out", out, str(not_json)],
+        "grow_nan_w0": ["grow", "--config", str(nan_grow), "--out", out],
+    }
+    for command, config in OUT_IS_A_FILE.items():
+        argv = [command, "--config", str(CONFIGS / f"{config}.ini"), "--out", str(a_file)]
+        cases[f"out_is_a_file_{command}"] = argv
+    return cases
+
+
+# every command, with the shipped config it runs, when --out names a file
+OUT_IS_A_FILE = {
+    "run": "quadratic_fit",
+    "grow": "growth_demo",
+    "spectrum": "spectrum_demo",
+    "coverage-demo": "coverage_demo",
+}
+
+
+class TestFailures:
+    @pytest.mark.parametrize(
+        "case",
+        ["spectrum_nan_w", "spectrum_spiral_w12", "analyze_not_json", "grow_nan_w0"]
+        + [f"out_is_a_file_{command}" for command in OUT_IS_A_FILE],
+    )
+    def test_one_stderr_line_and_exit_1(self, case, tmp_path, capsys):
+        argv = _input_case(tmp_path)[case]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+    @pytest.mark.parametrize(
+        "line", ["[1, 2]", '{"record": "sample", "t": 0}', '{"record": "x"}', "{"]
+    )
+    def test_bad_trace_line_named(self, line, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"record": "header", "kind": "nominal", "config": {}}\n\n' + line + "\n")
+        argv = ["analyze", "--config", str(CONFIGS / "quadratic_fit.ini"), "--out", str(tmp_path), str(trace)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"{trace}, line 3: not a trace record" in capsys.readouterr().err
+
+    def test_setup_divergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        def diverging(cfg):
+            raise DivergenceError("manufactured solution is not finite")
+
+        monkeypatch.setattr(cli.config_mod, "build_problem", diverging)
+        cfg = write_config(tmp_path, QUAD_DEMO)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["divergence: manufactured solution is not finite"]
+
+    def test_failing_config_does_not_stop_the_next(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        out = tmp_path / "out"
+        first = write_config(tmp_path, QUAD_DEMO + f"\n[output]\ndir = {a_file}\n", "first.ini")
+        second = write_config(tmp_path, QUAD_DEMO + f"\n[output]\ndir = {out}\n", "second.ini")
+        assert cli.main(["run", "--config", str(first), str(second)]) == cli.EXIT_CONFIG
+        assert (out / "second_trace.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [(ABSURD_NOMINAL, cli.EXIT_DIVERGENCE), (HUGE_PHI, cli.EXIT_CONFIG)],
+        ids=["absurd_g0", "huge_phi"],
+    )
+    def test_no_library_warnings(self, text, code, tmp_path, capsys):
+        # lsoda's convergence failure and numpy's overflow in the first
+        # sample are reported by gradlab itself, not as warnings
+        cfg = write_config(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        assert [str(w.message) for w in caught] == []
+        assert len(capsys.readouterr().err.splitlines()) == (code == cli.EXIT_CONFIG)

@@ -115,6 +115,30 @@ class TestNominalLoss:
                 basis_128, res, lambda g, r: r, known_solution=bad
             )
 
+    @staticmethod
+    def _screened_poisson(phi, known):
+        """-lap g + 2g = f, with f manufactured from phi but summed in
+        another order, so F[phi] is zero only up to rounding."""
+        f = (phi + phi) - sp.laplacian(phi)
+
+        def res(g):
+            return (g - sp.laplacian(g)) + g - f
+
+        return pr.custom_problem(phi.basis, res, lambda g, r: r, known_solution=known)
+
+    def test_large_known_solution_accepted(self):
+        basis = sp.make_space(sp.Domain(1), 64)
+        phi = sp.Field(1e3 * np.random.default_rng(1).standard_normal(64), basis)
+        p = self._screened_poisson(phi, phi)
+        # above the absolute floor, far below the zero field's loss
+        assert pr.nominal_loss(p, phi).value > pr.KNOWN_SOLUTION_FLOOR
+
+    def test_large_wrong_known_solution_rejected(self):
+        basis = sp.make_space(sp.Domain(1), 64)
+        phi = sp.Field(1e3 * np.random.default_rng(1).standard_normal(64), basis)
+        with pytest.raises(ConfigurationError, match="known solution"):
+            self._screened_poisson(phi, phi * (1.0 + 1e-9))
+
 
 @lru_cache(maxsize=None)
 def _npbe_on(d, n, metric):
