@@ -177,10 +177,11 @@ def _curve_scalar_closure(arch: ArchitectureSpec, phi: np.ndarray):
 class ParametricObjective:
     """Loss, Euclidean gradient, and diagnostics of w -> L[model(w)].
 
-    The gradient components are the L2 pairings of the Jacobian rows with
-    the L2 representative of DL, which is the chain rule regardless of the
-    problem's gradient metric; the metric still governs the recorded
-    kernel diagnostics.
+    The loss goes through the problem's coefficient kernel
+    ``compiled_loss``.  The gradient components are the L2 pairings of the
+    Jacobian rows with the kernel's L2 representative of DL, which is the
+    chain rule regardless of the problem's gradient metric; the metric
+    still governs the recorded kernel diagnostics.
     """
 
     def __init__(self, problem: Problem, arch: ArchitectureSpec):
@@ -190,14 +191,13 @@ class ParametricObjective:
         self.arch = arch
         self.basis = problem.basis
         self._l2w = spaces._metric_weights(self.basis, SobolevOrder.L2)
-        self._quadratic = problem.loss_kind == "quadratic-distance"
         self._phi = (
             problem.known_solution.coeffs if problem.known_solution is not None else None
         )
         self._rows = arch_mod.compile_model_jac(arch)
         self._scalar = None
         if (
-            self._quadratic
+            problem.loss_kind == "quadratic-distance"
             and arch.kind == "curve"
             and self.basis.size <= 8
             and np.allclose(self._l2w, 1.0)
@@ -213,24 +213,19 @@ class ParametricObjective:
             loss, dg = self._scalar(float(values[0]))
             return loss, np.array([dg]), False
         model, jac = self._rows(values)
-        if self._quadratic:
-            r = model - self._phi
-            wr = self._l2w * r
-            return 0.5 * float(np.dot(wr, r)), jac @ wr, False
-        if self.problem.compiled_loss is not None:
-            loss, dl_coeffs, clamped = self.problem.compiled_loss(model)
-            return loss, jac @ (self._l2w * dl_coeffs), clamped
-        g = Field(model, self.basis)
-        res = self.problem.residual_map(g)
-        loss = 0.5 * spaces.inner_product(res, res, SobolevOrder.L2)
-        dl = self.problem.l2_gradient_map(g, res)
-        grad = jac @ (self._l2w * dl.coeffs)
-        clamped = (
-            bool(self.problem.clamp_probe(g))
-            if self.problem.clamp_probe is not None
-            else False
-        )
-        return float(loss), grad, clamped
+        loss, dl, clamped = self.problem.compiled_loss(model)
+        return loss, jac @ (self._l2w * dl), clamped
+
+    def sample(self, values: np.ndarray):
+        """The recorded sample at ``values``: (loss, gradient norm, extras)."""
+        loss, grad, clamped = self.value_and_grad(values)
+        extras = {
+            "mu": self.min_nonzero_eig(values),
+            "model_error": self.model_error(values),
+            "clamped": clamped,
+            "params": values,
+        }
+        return loss, float(np.linalg.norm(grad)), extras
 
     def min_nonzero_eig(self, values: np.ndarray) -> float:
         diag = arch_mod.tangent_gram(
@@ -278,19 +273,44 @@ class NominalObjective:
 
 
 class _TraceBuilder:
-    def __init__(self, kind: str, cfg: FlowConfig, with_mu: bool, with_params: bool):
+    """The columns of one run; a sample is (loss, grad_norm, extras).  The
+    extras of the first sample decide which optional columns exist, and
+    parameters are kept only under ``cfg.record_params``."""
+
+    def __init__(self, kind: str, cfg: FlowConfig, extras: dict):
         self.kind = kind
         self.cfg = cfg
         self.t: list[float] = []
         self.loss: list[float] = []
         self.grad: list[float] = []
-        self.mu: list[float] | None = [] if with_mu else None
+        self.mu: list[float] | None = [] if "mu" in extras else None
         self.err: list[float] | None = None
-        self.params: list[np.ndarray] | None = [] if with_params else None
+        self.params: list[np.ndarray] | None = (
+            [] if cfg.record_params and "params" in extras else None
+        )
         self.events: list[FlowEvent] = []
         self.clamp_active = False
 
-    def add(self, t, loss, grad_norm, mu=None, model_error=None, params=None, clamped=False):
+    @classmethod
+    def start(cls, kind: str, cfg: FlowConfig, eval_sample, y0) -> "_TraceBuilder":
+        """A builder holding the initial sample of ``y0``."""
+        try:
+            # a non-finite start is reported as such, so numpy need not warn of it
+            with np.errstate(over="ignore", invalid="ignore"):
+                sample = eval_sample(np.asarray(y0, dtype=np.float64))
+            builder = cls(kind, cfg, sample[2])
+            builder.record(0.0, sample)
+        except DivergenceError:
+            raise ConfigurationError("initial state already has non-finite loss")
+        return builder
+
+    def record(self, t, sample):
+        """Append a sample; a non-finite or capped loss is a divergence."""
+        loss, grad_norm, extras = sample
+        if not np.isfinite(loss) or loss > LOSS_CAP:
+            raise DivergenceError("loss diverged", last_finite=None)
+        mu, model_error = extras.get("mu"), extras.get("model_error")
+        clamped = extras.get("clamped", False)
         self.t.append(float(t))
         self.loss.append(float(loss))
         self.grad.append(float(grad_norm))
@@ -303,7 +323,7 @@ class _TraceBuilder:
         elif self.err is not None:
             self.err.append(np.nan)
         if self.params is not None:
-            self.params.append(np.array(params, dtype=np.float64))
+            self.params.append(np.array(extras["params"], dtype=np.float64))
         if clamped != self.clamp_active:
             self.clamp_active = clamped
             word = "entered" if clamped else "left"
@@ -358,7 +378,6 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
     ``make_state`` wraps the terminal state.
     """
 
-    builder = None  # assigned below; closed over by record()
     stepper = None
     n_steps = 0
 
@@ -372,28 +391,8 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
             counters["jac_evals"] = int(stepper.njev)
         return builder.finish(reason, make_state(y), detail, counters)
 
-    def record(t, y, sample):
-        loss, gnorm, extras = sample
-        if not np.isfinite(loss) or loss > LOSS_CAP:
-            raise DivergenceError("loss diverged", last_finite=None)
-        builder.add(t, loss, gnorm, **extras)
-
-    try:
-        # a non-finite start is reported as such, so numpy need not warn of it
-        with np.errstate(over="ignore", invalid="ignore"):
-            sample0 = eval_sample(np.asarray(y0, dtype=np.float64))
-        builder_kwargs = sample0[2]
-        builder = _TraceBuilder(
-            kind,
-            cfg,
-            with_mu="mu" in builder_kwargs,
-            with_params=builder_kwargs.get("params") is not None,
-        )
-        record(0.0, y0, sample0)
-    except DivergenceError:
-        raise ConfigurationError("initial state already has non-finite loss")
-
-    if sample0[1] < cfg.grad_stop:
+    builder = _TraceBuilder.start(kind, cfg, eval_sample, y0)
+    if builder.grad[0] < cfg.grad_stop:
         return finish("grad_stop", np.asarray(y0))
 
     dt = cfg.sample_interval
@@ -428,7 +427,7 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
                 ys = dense(ts)
                 try:
                     sample = eval_sample(ys)
-                    record(ts, ys, sample)
+                    builder.record(ts, sample)
                 except DivergenceError:
                     return finish("divergence", ys, "loss diverged")
                 if sample[1] < cfg.grad_stop:
@@ -447,8 +446,7 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
     # clean t_end arrival: record the final point if the grid missed it
     if builder.t[-1] < cfg.t_end - 1e-12 * cfg.t_end:
         try:
-            sample = eval_sample(stepper.y)
-            record(cfg.t_end, stepper.y, sample)
+            builder.record(cfg.t_end, eval_sample(stepper.y))
         except DivergenceError:
             return finish("divergence", stepper.y, "loss diverged")
     return finish("t_end", stepper.y)
@@ -489,21 +487,10 @@ def integrate_parametric(
     def rhs_fn(y):
         return -obj.value_and_grad(y)[1]
 
-    def eval_sample(y):
-        loss, grad, clamped = obj.value_and_grad(y)
-        extras = {
-            "mu": obj.min_nonzero_eig(y),
-            "model_error": obj.model_error(y),
-            "clamped": clamped,
-        }
-        if cfg.record_params:
-            extras["params"] = y
-        return loss, float(np.linalg.norm(grad)), extras
-
     def make_state(y):
         return ParamVector(np.where(np.isfinite(y), y, 0.0), level=level)
 
-    return _run_deterministic("parametric", w0.values, cfg, rhs_fn, eval_sample, make_state)
+    return _run_deterministic("parametric", w0.values, cfg, rhs_fn, obj.sample, make_state)
 
 
 def integrate_annealed(
@@ -526,27 +513,8 @@ def integrate_annealed(
     rng = np.random.default_rng(cfg.seed)
     m = w0.size
 
-    builder = _TraceBuilder("annealed", cfg, with_mu=True, with_params=cfg.record_params)
-
-    def sample_at(t, y):
-        loss, grad, clamped = obj.value_and_grad(y)
-        if not np.isfinite(loss) or loss > LOSS_CAP:
-            raise DivergenceError("loss diverged", last_finite=None)
-        builder.add(
-            t,
-            loss,
-            float(np.linalg.norm(grad)),
-            mu=obj.min_nonzero_eig(y),
-            model_error=obj.model_error(y),
-            params=y if cfg.record_params else None,
-            clamped=clamped,
-        )
-
     y = w0.values.copy()
-    try:
-        sample_at(0.0, y)
-    except DivergenceError:
-        raise ConfigurationError("initial state already has non-finite loss")
+    builder = _TraceBuilder.start("annealed", cfg, obj.sample, y)
     chunk = 8192
     noise = None
     noise_pos = chunk
@@ -576,7 +544,7 @@ def integrate_annealed(
                     counters={"em_steps": step + 1},
                 )
             try:
-                sample_at(t, y)
+                builder.record(t, obj.sample(y))
             except DivergenceError:
                 return builder.finish(
                     "divergence",

@@ -15,7 +15,8 @@ Shipped problems:
   phi an exact zero of the discrete residual.
 
 Custom problems (used heavily in tests) supply their own residual and
-L2-gradient callables.
+L2-gradient callables.  Every constructor also builds the coefficient
+kernel ``compiled_loss`` that parametric flows call.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ KNOWN_SOLUTION_FLOOR = 1e-20
 class Problem:
     """A residual map with its loss convention and gradient metric.
 
-    ``residual_map(g) -> Field`` evaluates F.  ``l2_gradient_map(g, F(g))
-    -> Field`` returns the L2 Frechet representative of DL at g; the
-    public gradient applies the metric conversion on top of it.
+    Every problem carries its coefficient kernel ``compiled_loss(c) ->
+    (loss, dl_l2_coeffs, clamped)``, the one computation that parametric
+    flows pull back through an architecture.  The nominal flow and the
+    probes use the ``Field`` callables, which compute the same thing:
+    ``residual_map(g) -> Field`` evaluates F, ``l2_gradient_map(g, F(g))
+    -> Field`` returns the L2 Frechet representative of DL at g (the
+    public gradient applies the metric conversion on top of it), and
     ``clamp_probe(g) -> bool`` reports whether the overflow clamp engaged.
     """
 
@@ -52,13 +57,9 @@ class Problem:
     loss_kind: str  # "half-residual-norm" | "quadratic-distance"
     gradient_metric: SobolevOrder
     basis: spaces.Basis
+    compiled_loss: object
     known_solution: Field | None = None
-    data_field: Field | None = None
-    clamp: float = spaces.DEFAULT_CLAMP
     clamp_probe: object = None
-    # optional raw-coefficient closure coeffs -> (loss, dl_l2_coeffs,
-    # clamped); must agree with the Field path, used by flow inner loops
-    compiled_loss: object = None
 
     def __post_init__(self):
         if self.known_solution is None:
@@ -135,6 +136,12 @@ def quadratic_problem(
     def dl(g: Field, r: Field) -> Field:
         return r
 
+    l2w = spaces._metric_weights(basis, SobolevOrder.L2)
+
+    def compiled_loss(c: np.ndarray):
+        r = c - phi.coeffs
+        return 0.5 * float(np.dot(l2w * r, r)), r, False
+
     return Problem(
         name=name,
         residual_map=res,
@@ -142,6 +149,7 @@ def quadratic_problem(
         loss_kind="quadratic-distance",
         gradient_metric=metric,
         basis=basis,
+        compiled_loss=compiled_loss,
         known_solution=phi,
     )
 
@@ -224,11 +232,9 @@ def npbe_problem(
         loss_kind="half-residual-norm",
         gradient_metric=metric,
         basis=basis,
-        known_solution=phi,
-        data_field=phi.with_coeffs(h),
-        clamp=clamp,
-        clamp_probe=lambda g: nodal(g.coeffs)[2],
         compiled_loss=compiled_loss,
+        known_solution=phi,
+        clamp_probe=lambda g: nodal(g.coeffs)[2],
     )
 
 
@@ -240,7 +246,15 @@ def custom_problem(
     known_solution: Field | None = None,
     name: str = "custom",
 ) -> Problem:
-    """Assemble a problem from explicit residual/gradient callables."""
+    """Assemble a problem from explicit residual/gradient callables; its
+    coefficient kernel wraps them."""
+
+    def compiled_loss(c: np.ndarray):
+        g = Field(c, basis)
+        res = residual_map(g)
+        loss = 0.5 * spaces.inner_product(res, res, SobolevOrder.L2)
+        return loss, l2_gradient_map(g, res).coeffs, False
+
     return Problem(
         name=name,
         residual_map=residual_map,
@@ -248,6 +262,7 @@ def custom_problem(
         loss_kind="half-residual-norm",
         gradient_metric=metric,
         basis=basis,
+        compiled_loss=compiled_loss,
         known_solution=known_solution,
     )
 

@@ -194,21 +194,26 @@ def zero_field(basis: Basis, metric: SobolevOrder = SobolevOrder.L2) -> Field:
     return Field(np.zeros(basis.size), basis, metric)
 
 
-def _metric_weights(basis: Basis, metric: SobolevOrder) -> np.ndarray:
-    """Diagonal coefficient weights of the chosen inner product.
-
-    Sine basis: ``pi**d * (1 + |lambda_k|)**order`` per tensor mode.
-    Nodal basis: quadrature weights, L2 only.
-    """
-    if basis.kind == "sine":
-        base = HALF_WIDTH ** basis.dimension
-        if metric is SobolevOrder.L2:
-            return np.full(basis.size, base)
-        return base * (1.0 + np.abs(basis.eigenvalues)) ** metric.weight_exponent
-    if metric is not SobolevOrder.L2:
+def _sobolev_scale(basis: Basis, metric: SobolevOrder) -> np.ndarray:
+    """``(1 + |lambda_k|)**order`` per tensor mode: the diagonal of
+    ``(I - Laplacian)**order``, defined on sine-spectral bases only."""
+    if basis.kind != "sine":
         raise UnsupportedOperationError(
             "Sobolev metrics are only defined on sine-spectral bases"
         )
+    return (1.0 + np.abs(basis.eigenvalues)) ** metric.weight_exponent
+
+
+def _metric_weights(basis: Basis, metric: SobolevOrder) -> np.ndarray:
+    """Diagonal coefficient weights of the chosen inner product.
+
+    Sine basis: ``pi**d`` times the Sobolev scale per tensor mode.
+    Nodal basis: quadrature weights, L2 only.
+    """
+    if metric is not SobolevOrder.L2:
+        return HALF_WIDTH ** basis.dimension * _sobolev_scale(basis, metric)
+    if basis.kind == "sine":
+        return np.full(basis.size, HALF_WIDTH ** basis.dimension)
     return basis.weights
 
 
@@ -239,24 +244,14 @@ def metric_sharp(dl_l2: Field, target_metric: SobolevOrder) -> Field:
     """
     if target_metric is SobolevOrder.L2:
         return dl_l2
-    if dl_l2.basis.kind != "sine":
-        raise UnsupportedOperationError(
-            "Sobolev metrics are only defined on sine-spectral bases"
-        )
-    scale = (1.0 + np.abs(dl_l2.basis.eigenvalues)) ** target_metric.weight_exponent
-    return dl_l2.with_coeffs(dl_l2.coeffs / scale)
+    return dl_l2.with_coeffs(dl_l2.coeffs / _sobolev_scale(dl_l2.basis, target_metric))
 
 
 def metric_flat(grad: Field, source_metric: SobolevOrder) -> Field:
     """Inverse of :func:`metric_sharp`: recover the L2 representative."""
     if source_metric is SobolevOrder.L2:
         return grad
-    if grad.basis.kind != "sine":
-        raise UnsupportedOperationError(
-            "Sobolev metrics are only defined on sine-spectral bases"
-        )
-    scale = (1.0 + np.abs(grad.basis.eigenvalues)) ** source_metric.weight_exponent
-    return grad.with_coeffs(grad.coeffs * scale)
+    return grad.with_coeffs(grad.coeffs * _sobolev_scale(grad.basis, source_metric))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Trace files and report tables.
 
-A trace file is JSON lines: one header record (flow kind, full config,
-seed, code version), one record per sample, and one terminal record
-carrying the stop reason, final parameters, events, and the run's work
-counters (right-hand sides, Jacobians and steps, or Euler-Maruyama
-steps).  Payload bytes are deterministic for a fixed trace: keys are
-sorted and floats use ``repr``.
+A trace file is JSON lines: one header record (flow kind, the
+``FlowConfig`` fields, seed, code version), one record per sample, and one
+terminal record carrying the stop reason, final parameters, events, and
+the run's work counters (right-hand sides, Jacobians and steps, or
+Euler-Maruyama steps).  Payload bytes are deterministic for a fixed trace:
+keys are sorted and floats use ``repr``.  The header does not hold the
+problem or the architecture, so a trace alone cannot rebuild them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .architectures import ParamVector
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GradlabError
 from .flows import FlowConfig, FlowEvent, FlowTrace
 
 
@@ -96,7 +97,8 @@ _RECORD_KEYS = {
 
 def read_trace(path) -> FlowTrace:
     """Rebuild a trace from a JSONL file (terminal field states are not
-    reconstructed; parameter states are)."""
+    reconstructed; parameter states are).  A malformed file raises
+    ``ConfigurationError`` naming ``path``."""
     records = {kind: [] for kind in _RECORD_KEYS}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -113,7 +115,13 @@ def read_trace(path) -> FlowTrace:
     samples = records["sample"]
     if not records["header"] or not records["terminal"] or not samples:
         raise ConfigurationError(f"{path} is not a complete trace file")
-    header, terminal = records["header"][-1], records["terminal"][-1]
+    try:
+        return _trace_from_records(records["header"][-1], samples, records["terminal"][-1])
+    except (GradlabError, LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigurationError(f"{path}: malformed trace: {exc!r}") from None
+
+
+def _trace_from_records(header: dict, samples: list[dict], terminal: dict) -> FlowTrace:
     cfg_fields = set(FlowConfig.__dataclass_fields__)
     cfg = FlowConfig(
         **{k: v for k, v in header["config"].items() if k in cfg_fields}
@@ -123,11 +131,16 @@ def read_trace(path) -> FlowTrace:
         """The samples' ``key`` values, NaN where a sample has none; None
         when no sample has one."""
         if any(key in s for s in samples):
-            return np.array([s.get(key, np.nan) for s in samples])
+            values = [s.get(key, np.nan) for s in samples]
+            if not all(isinstance(v, (int, float)) for v in values):
+                raise TypeError(f"a sample's {key!r} is not a number")
+            return np.array(values, dtype=np.float64)
         return None
 
     params = (
-        np.array([s["w"] for s in samples]) if all("w" in s for s in samples) else None
+        np.array([s["w"] for s in samples], dtype=np.float64)
+        if all("w" in s for s in samples)
+        else None
     )
     state = None
     if "final_params" in terminal:

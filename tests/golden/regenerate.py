@@ -21,8 +21,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from gradlab import cli, traceio
-
 GOLDEN = Path(__file__).resolve().parent
 CONFIGS = GOLDEN.parents[1] / "configs"
 
@@ -51,6 +49,8 @@ def _rows(path: Path) -> list[dict]:
 
 
 def _trace_summary(path: Path) -> dict:
+    from gradlab import traceio
+
     trace = traceio.read_trace(path)
     error = trace.model_error[-1] if trace.model_error is not None else None
     return {
@@ -62,13 +62,23 @@ def _trace_summary(path: Path) -> dict:
     }
 
 
-def run_case(name: str, workdir: Path) -> dict:
-    """Run case ``name`` in ``workdir`` and summarise its outputs."""
+def case_argv(name: str, workdir: Path) -> list[str]:
+    """Write case ``name``'s config into ``workdir``; the argv that runs it
+    with its outputs in ``workdir/out``."""
     command, ini = CASES[name]
     config = workdir / f"{name}.ini"
     config.write_text(ini if ini is not None else (CONFIGS / f"{name}.ini").read_text())
+    return [command, "--config", str(config), "--out", str(workdir / "out")]
+
+
+def run_case(name: str, workdir: Path) -> dict:
+    """Run case ``name`` in ``workdir`` and summarise its outputs."""
+    # imported here, so that ab.py can read CASES with no gradlab on sys.path
+    from gradlab import cli
+
+    command = CASES[name][0]
     out = workdir / "out"
-    code = cli.main([command, "--config", str(config), "--out", str(out)])
+    code = cli.main(case_argv(name, workdir))
     summary = {"command": command, "exit_code": code}
     if command == "run":
         summary["traces"] = [_trace_summary(out / f"{name}_trace.jsonl")]

@@ -525,10 +525,24 @@ def _input_case(tmp_path):
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     out = str(tmp_path / "out")
+    sample = '{"record": "sample", "t": 0.0, "loss": 1.0, "grad_norm": 1.0}\n'
+    string_t_end = tmp_path / "string_t_end.jsonl"
+    string_t_end.write_text(
+        '{"record": "header", "kind": "nominal", "config": {"t_end": "60"}}\n'
+        + sample + '{"record": "terminal", "reason": "t_end"}\n'
+    )
+    event_without_t = tmp_path / "event_without_t.jsonl"
+    event_without_t.write_text(
+        '{"record": "header", "kind": "nominal", "config": {}}\n'
+        + sample + '{"record": "terminal", "reason": "t_end", "events": [{"kind": "stop"}]}\n'
+    )
+    analyze = ["analyze", "--config", str(CONFIGS / "quadratic_fit.ini"), "--out", out]
     cases = {
         "spectrum_nan_w": ["spectrum", "--config", str(bad_w), "--out", out],
         "spectrum_spiral_w12": ["spectrum", "--config", str(spiral), "--out", out],
-        "analyze_not_json": ["analyze", "--config", str(CONFIGS / "quadratic_fit.ini"), "--out", out, str(not_json)],
+        "analyze_not_json": analyze + [str(not_json)],
+        "analyze_string_t_end": analyze + [str(string_t_end)],
+        "analyze_event_without_t": analyze + [str(event_without_t)],
         "grow_nan_w0": ["grow", "--config", str(nan_grow), "--out", out],
     }
     for command, config in OUT_IS_A_FILE.items():
@@ -550,6 +564,7 @@ class TestFailures:
     @pytest.mark.parametrize(
         "case",
         ["spectrum_nan_w", "spectrum_spiral_w12", "analyze_not_json", "grow_nan_w0"]
+        + ["analyze_string_t_end", "analyze_event_without_t"]
         + [f"out_is_a_file_{command}" for command in OUT_IS_A_FILE],
     )
     def test_one_stderr_line_and_exit_1(self, case, tmp_path, capsys):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradlab import architectures as ar
 from gradlab import flows as fl
@@ -185,6 +187,56 @@ class TestParametric:
         assert trace.min_nonzero_eig is not None
         assert trace.params.shape == (trace.n_samples, 3)
         assert trace.events[-1].kind == "stop"
+
+
+# (Euclidean size, polynomial degree per component, seed, w)
+_CURVE_CASES = st.tuples(
+    st.integers(1, 8),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.floats(-3.0, 3.0),
+)
+
+
+class TestScalarClosureMatchesKernel:
+    """The pure-python curve closure computes what the kernel path does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CURVE_CASES)
+    def test_closure_equals_kernel_path(self, case):
+        size, degrees, seed, w = case
+        rng = np.random.default_rng(seed)
+        e = sp.make_euclidean(size)
+        polys = [rng.standard_normal(deg + 1) for deg in degrees]
+        rows = [rng.standard_normal(size) for _ in degrees]
+        offset, phi = rng.standard_normal(size), rng.standard_normal(size)
+        arch = ar.curve_architecture(
+            [(list(poly), sp.Field(b, e)) for poly, b in zip(polys, rows)], sp.Field(offset, e)
+        )
+        p = pr.quadratic_problem(e, sp.Field(phi, e))
+        fast = fl.ParametricObjective(p, arch)
+        ref = fl.ParametricObjective(p, arch)
+        ref._scalar = None
+        assert fast._scalar is not None
+        values = np.array([w])
+        loss_f, grad_f, _ = fast.value_and_grad(values)
+        loss_r, grad_r, _ = ref.value_and_grad(values)
+        # the two paths sum the same terms in different orders; each residual
+        # entry r_k is off by at most (degree + components + 2) eps T_k, where
+        # T_k sums the magnitudes of its terms, so the loss is off by at most
+        # (2 (degree + components + 2) + size) eps sum T_k^2 < 32 eps sum T_k^2,
+        # and the derivative by the same factor times sum T_k D_k
+        aw = abs(w)
+        q_abs = [np.polynomial.polynomial.polyval(aw, np.abs(poly)) for poly in polys]
+        dq_abs = [
+            np.polynomial.polynomial.polyval(aw, np.abs(np.polynomial.polynomial.polyder(poly)))
+            for poly in polys
+        ]
+        terms = np.abs(offset) + np.abs(phi) + sum(q * np.abs(b) for q, b in zip(q_abs, rows))
+        dterms = sum(dq * np.abs(b) for dq, b in zip(dq_abs, rows))
+        eps = np.finfo(float).eps
+        assert abs(loss_f - loss_r) <= 32 * eps * np.dot(terms, terms)
+        assert abs(grad_f[0] - grad_r[0]) <= 32 * eps * np.dot(terms, dterms)
 
 
 class TestAnnealed:

@@ -140,14 +140,30 @@ class TestNominalLoss:
             self._screened_poisson(phi, phi * (1.0 + 1e-9))
 
 
+def _cubic_problem(basis, phi, metric):
+    """A custom problem: F[g] = -laplacian(g) + g**3 - phi, coefficient-wise."""
+
+    def res(g):
+        return g.with_coeffs(-g.basis.eigenvalues * g.coeffs + g.coeffs**3 - phi.coeffs)
+
+    def dl(g, r):
+        return r.with_coeffs(-g.basis.eigenvalues * r.coeffs + 3.0 * g.coeffs**2 * r.coeffs)
+
+    return pr.custom_problem(basis, res, dl, metric, name="cubic")
+
+
 @lru_cache(maxsize=None)
-def _npbe_on(d, n, metric):
+def _problem_on(kind, d, n, metric):
     basis = sp.make_space(sp.Domain(d), n)
-    return pr.npbe_problem(basis, sp.field_from_modes(basis, [(1, 0.6), (2, 0.25)]), metric)
+    phi = sp.field_from_modes(basis, [(1, 0.6), (2, 0.25)])
+    build = {"npbe": pr.npbe_problem, "quadratic": pr.quadratic_problem, "custom": _cubic_problem}
+    return build[kind](basis, phi, metric)
 
 
-# ((d, n), seed, log10 of the state scale, metric); scales near 1e3 clamp
+# (problem kind, (d, n), seed, log10 of the state scale, metric); NPBE
+# states at scales near 1e3 clamp
 _KERNEL_CASES = st.tuples(
+    st.sampled_from(["npbe", "quadratic", "custom"]),
     st.sampled_from([(1, 8), (1, 24), (1, 61), (1, 256), (3, 4), (3, 9), (3, 17)]),
     st.integers(0, 2**32 - 1),
     st.floats(-3.0, 3.0),
@@ -156,23 +172,24 @@ _KERNEL_CASES = st.tuples(
 
 
 class TestFieldPathMatchesKernel:
-    """The NPBE Field callables and compiled_loss are one computation."""
+    """Every problem's Field callables and its compiled_loss are one
+    computation."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(_KERNEL_CASES)
     def test_field_path_equals_compiled_loss(self, case):
-        (d, n), seed, log_scale, metric = case
-        p = _npbe_on(d, n, metric)
+        kind, (d, n), seed, log_scale, metric = case
+        p = _problem_on(kind, d, n, metric)
         rng = np.random.default_rng(seed)
         g = sp.Field(10.0**log_scale * rng.standard_normal(p.basis.size), p.basis)
         loss, dl, clamped = p.compiled_loss(g.coeffs)
         assert np.array_equal(p.l2_gradient_map(g, p.residual_map(g)).coeffs, dl)
-        assert p.clamp_probe(g) == clamped
+        assert bool(p.clamp_probe and p.clamp_probe(g)) == clamped
         ev = pr.nominal_loss(p, g)
         sharp = sp.metric_sharp(sp.Field(dl, p.basis), metric)
         assert np.array_equal(ev.gradient.coeffs, sharp.coeffs)
         assert ev.clamped == clamped
-        # the two dot products round differently
+        # the two NPBE dot products round differently
         assert abs(ev.value - loss) <= 4 * p.basis.size * np.finfo(float).eps * loss
 
 
