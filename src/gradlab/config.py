@@ -257,9 +257,6 @@ def build_flow_config(cfg: ExperimentConfig, seed_override: int | None = None) -
         kwargs["record_params"] = cfg.get_bool("flow", "record_params")
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    for key in ("grad_stop", "stall_rel_change", "noise_beta"):
-        if key in kwargs and kwargs[key] < 0:
-            raise ConfigurationError(f"flow.{key}: must be >= 0")
     return FlowConfig(**kwargs)
 
 

@@ -76,8 +76,12 @@ class FlowConfig:
         for name in ("rel_tol", "abs_tol", "sde_step"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0")
-        if self.stall_rel_change < 0:
-            raise ConfigurationError("stall_rel_change must be >= 0")
+        for name in ("anneal_c", "noise_beta", "sde_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
+        for name in ("grad_stop", "stall_rel_change", "anneal_c", "noise_beta"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
         if self.record_every is not None and self.record_every <= 0:
             raise ConfigurationError("record_every must be > 0")
 
@@ -141,12 +145,14 @@ class FlowTrace:
 
 
 def _curve_scalar_closure(arch: ArchitectureSpec, phi: np.ndarray):
-    """Pure-python loss/derivative for 1-parameter curves on tiny Euclidean
-    targets; keeps the Euler-Maruyama inner loop off numpy overhead."""
+    """Loss and derivative of a 1-parameter curve on a tiny Euclidean target
+    in Python floats only (a leaked ``np.float64`` slows the Euler-Maruyama
+    loop about 2.7x).  Traces depend on its fixed order: Horner, then
+    ``rk += q_j*b_jk; drk += dq_j*b_jk`` over the components j in order."""
     comps, offset = arch.structure
     polys = [list(poly) for poly, _ in comps]
-    rows = [list(b.coeffs) for _, b in comps]
-    off = [float(o - p) for o, p in zip(offset.coeffs, phi)]
+    rows = [b.coeffs.tolist() for _, b in comps]
+    off = (offset.coeffs - phi).tolist()
     size = len(off)
 
     def value_and_deriv(w: float):
@@ -207,9 +213,12 @@ class ParametricObjective:
     def model_and_jacobian(self, values: np.ndarray):
         return self._rows(np.asarray(values, dtype=np.float64))
 
-    def value_and_grad(self, values: np.ndarray):
-        """Returns (loss, gradient vector, clamped flag)."""
+    def value_and_grad(self, values: np.ndarray | float):
+        """Returns (loss, gradient vector, clamped flag).  Under the scalar
+        closure a Python ``float`` state gets a ``float`` gradient."""
         if self._scalar is not None:
+            if isinstance(values, float):
+                return (*self._scalar(values), False)
             loss, dg = self._scalar(float(values[0]))
             return loss, np.array([dg]), False
         model, jac = self._rows(values)
@@ -500,61 +509,53 @@ def integrate_annealed(
 
     Noise scale per step is alpha(t) * beta * sqrt(h) with
     alpha(t) = sqrt(c / log(2 + t)).  Bit-identical traces for a fixed
-    seed; beta = 0 degenerates to plain Euler descent.
+    seed; beta = 0 degenerates to plain Euler descent.  Under the scalar
+    closure the state is a Python ``float`` (an array only where a sample
+    is recorded), else an array; both run the same IEEE operations.
     """
-    if cfg.noise_beta < 0:
-        raise ConfigurationError("noise_beta must be >= 0")
     obj = ParametricObjective(p, a)
-    level = w0.level
     h = cfg.sde_step
-    sqrt_h = np.sqrt(h)
     n_steps = int(np.ceil(cfg.t_end / h))
     record_stride = max(1, int(round(cfg.sample_interval / h)))
     rng = np.random.default_rng(cfg.seed)
-    m = w0.size
+    if obj._scalar is not None:
+        y = float(w0.values[0])
+        as_array = lambda v: np.array([v])  # noqa: E731
+        rows = lambda chunk: chunk.ravel().tolist()  # noqa: E731
+    else:
+        y = w0.values.copy()
+        as_array = rows = lambda v: v  # noqa: E731
 
-    y = w0.values.copy()
-    builder = _TraceBuilder.start("annealed", cfg, obj.sample, y)
-    chunk = 8192
-    noise = None
-    noise_pos = chunk
-    t = 0.0
+    def draws():
+        while True:
+            yield from rows(rng.standard_normal((8192, w0.size)))
+
+    def finish(reason, values, detail=""):
+        return builder.finish(reason, ParamVector(values, w0.level), detail, {"em_steps": done})
+
+    noise = draws()
+    done, state = 0, as_array(y)
+    builder = _TraceBuilder.start("annealed", cfg, obj.sample, state)
     beta = cfg.noise_beta
+    beta_sqrt_h = beta * math.sqrt(h)
     c_anneal = cfg.anneal_c
-    value_and_grad = obj.value_and_grad
-    for step in range(n_steps):
-        _, grad, _ = value_and_grad(y)
-        if beta > 0.0:
-            if noise_pos >= chunk:
-                noise = rng.standard_normal((chunk, m))
-                noise_pos = 0
-            xi = noise[noise_pos]
-            noise_pos += 1
-            scale = beta * sqrt_h * math.sqrt(c_anneal / math.log(2.0 + t))
-            y = y - h * grad + scale * xi
-        else:
-            y = y - h * grad
-        t = (step + 1) * h
-        if (step + 1) % record_stride == 0 or step == n_steps - 1:
-            if not np.all(np.isfinite(y)):
-                return builder.finish(
-                    "divergence",
-                    ParamVector(np.zeros(m), level),
-                    "non-finite state",
-                    counters={"em_steps": step + 1},
-                )
-            try:
-                builder.record(t, obj.sample(y))
-            except DivergenceError:
-                return builder.finish(
-                    "divergence",
-                    ParamVector(np.where(np.isfinite(y), y, 0.0), level),
-                    "loss diverged",
-                    counters={"em_steps": step + 1},
-                )
-    return builder.finish(
-        "t_end", ParamVector(y, level), counters={"em_steps": n_steps}
-    )
+    for start in range(0, n_steps, record_stride):  # one block per sample
+        done = min(start + record_stride, n_steps)
+        for step in range(start, done):
+            _, grad, _ = obj.value_and_grad(y)
+            if beta > 0.0:
+                scale = beta_sqrt_h * math.sqrt(c_anneal / math.log(2.0 + step * h))
+                y = y - h * grad + scale * next(noise)
+            else:
+                y = y - h * grad
+        state = as_array(y)
+        if not np.all(np.isfinite(state)):
+            return finish("divergence", np.zeros(w0.size), "non-finite state")
+        try:
+            builder.record(done * h, obj.sample(state))
+        except DivergenceError:
+            return finish("divergence", np.where(np.isfinite(state), state, 0.0), "loss diverged")
+    return finish("t_end", state)
 
 
 def lyapunov_check(trace: FlowTrace, tolerance: float) -> list[int] | None:

@@ -9,6 +9,8 @@ checkout's ``src``.  The trees are imported as the packages
 * for the quadratic, NPBE and custom problems, whether
   ``ParametricObjective.value_and_grad`` and ``nominal_loss`` return the
   same values on seeded states;
+* whether seeded ``integrate_annealed`` runs on the double well (the
+  scalar-closure path, which no shipped config takes) write the same trace;
 * for every case of ``regenerate.py`` (each shipped config and the 3-D
   n=17 nominal NPBE solve), whether each output of the two trees'
   ``cli.main`` is the same: the exit code, stdout, and every file written.
@@ -131,6 +133,21 @@ def compare_objectives(mods) -> list[str]:
     return lines
 
 
+def compare_annealed(mods) -> list[str]:
+    """Three seeded double-well runs of ``integrate_annealed``, t_end 20."""
+    wells = [_problems(mod)[1] for mod in mods]  # the "quadratic curve" double well
+    lines = []
+    for seed in range(3):
+        traces = []
+        for mod, (_, p, a) in zip(mods, wells):
+            fl, ar, traceio = mod("flows"), mod("architectures"), mod("traceio")
+            cfg = fl.FlowConfig(t_end=20.0, record_every=0.5, seed=seed, noise_beta=1.0)
+            trace = fl.integrate_annealed(p, a, ar.ParamVector(np.array([-1.0])), cfg)
+            traces.append("\n".join(traceio.trace_to_lines(trace)))
+        lines.append(f"annealed double well seed {seed}: trace {compare_output(*traces)}")
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # Shipped configs through the CLI
 # ---------------------------------------------------------------------------
@@ -190,7 +207,7 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/golden/ab.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
     mods = [load_tree(src, name) for src, name in zip(argv, TREES)]
-    lines = compare_objectives(mods) + compare_runs(mods)
+    lines = compare_objectives(mods) + compare_annealed(mods) + compare_runs(mods)
     print("\n".join(lines))
     return 0 if all(line.endswith(" identical") for line in lines) else 1
 

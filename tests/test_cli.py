@@ -522,6 +522,12 @@ def _input_case(tmp_path):
     grow = (CONFIGS / "growth_demo.ini").read_text()
     assert "w0 = 0.2, 1.3, 0.1" in grow
     nan_grow = write_config(tmp_path, grow.replace("w0 = 0.2, 1.3, 0.1", "w0 = nan, 1.3, 0.1"), "g.ini")
+    anneal = (CONFIGS / "annealed_double_start.ini").read_text()
+    assert "anneal_c = 2.0" in anneal
+    anneal_c = {
+        name: write_config(tmp_path, anneal.replace("anneal_c = 2.0", f"anneal_c = {value}"), f"{name}.ini")
+        for name, value in (("negative", "-1"), ("nan", "nan"))
+    }
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     out = str(tmp_path / "out")
@@ -545,6 +551,8 @@ def _input_case(tmp_path):
         "analyze_event_without_t": analyze + [str(event_without_t)],
         "grow_nan_w0": ["grow", "--config", str(nan_grow), "--out", out],
     }
+    for name, config in anneal_c.items():
+        cases[f"run_{name}_anneal_c"] = ["run", "--config", str(config), "--out", out]
     for command, config in OUT_IS_A_FILE.items():
         argv = [command, "--config", str(CONFIGS / f"{config}.ini"), "--out", str(a_file)]
         cases[f"out_is_a_file_{command}"] = argv
@@ -565,6 +573,7 @@ class TestFailures:
         "case",
         ["spectrum_nan_w", "spectrum_spiral_w12", "analyze_not_json", "grow_nan_w0"]
         + ["analyze_string_t_end", "analyze_event_without_t"]
+        + ["run_negative_anneal_c", "run_nan_anneal_c"]
         + [f"out_is_a_file_{command}" for command in OUT_IS_A_FILE],
     )
     def test_one_stderr_line_and_exit_1(self, case, tmp_path, capsys):
@@ -572,6 +581,12 @@ class TestFailures:
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("name", ["negative", "nan"])
+    def test_invalid_anneal_c_is_a_config_error(self, name, tmp_path, capsys):
+        # was a math-domain traceback (-1) and a reported divergence (nan)
+        assert cli.main(_input_case(tmp_path)[f"run_{name}_anneal_c"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: anneal_c must be ")
 
     @pytest.mark.parametrize(
         "line", ["[1, 2]", '{"record": "sample", "t": 0}', '{"record": "x"}', "{"]

@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradlab import architectures as ar
@@ -10,7 +11,7 @@ from gradlab import flows as fl
 from gradlab import problems as pr
 from gradlab import spaces as sp
 from gradlab import traceio
-from gradlab.errors import ConfigurationError
+from gradlab.errors import ConfigurationError, DivergenceError
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +290,110 @@ class TestAnnealed:
     def test_requires_positive_sde_step(self):
         with pytest.raises(ConfigurationError):
             fl.FlowConfig(t_end=1.0, sde_step=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("anneal_c", -1.0), ("anneal_c", float("nan")), ("noise_beta", -0.1),
+         ("noise_beta", float("inf")), ("sde_step", float("inf")), ("sde_step", float("nan"))],
+    )
+    def test_rejects_invalid_annealing(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            fl.FlowConfig(t_end=1.0, **{name: value})
+
+    def test_one_objective_call_per_step(self, monkeypatch):
+        # perfbench counts Euler-Maruyama steps as objective calls minus samples
+        problem, arch, shallow, _, _ = double_well_fixture()
+        calls = []
+        value_and_grad = fl.ParametricObjective.value_and_grad
+
+        def counted(self, values):
+            calls.append(values)
+            return value_and_grad(self, values)
+
+        monkeypatch.setattr(fl.ParametricObjective, "value_and_grad", counted)
+        cfg = fl.FlowConfig(t_end=2.0, record_every=0.07, seed=1, noise_beta=1.0)
+        trace = fl.integrate_annealed(problem, arch, ar.ParamVector(np.array([shallow])), cfg)
+        assert trace.counters == {"em_steps": 2000}
+        assert len(calls) == trace.counters["em_steps"] + trace.n_samples
+
+
+WELL_PROBLEM, WELL_ARCH = double_well_fixture()[:2]
+
+
+def _reference_annealed(p, arch, w0, cfg):
+    """Euler-Maruyama on an array state, one step at a time: the loop that
+    ``integrate_annealed`` must reproduce bit for bit."""
+    obj = fl.ParametricObjective(p, arch)
+    h = cfg.sde_step
+    n_steps = int(np.ceil(cfg.t_end / h))
+    stride = max(1, int(round(cfg.sample_interval / h)))
+    rng = np.random.default_rng(cfg.seed)
+    y = w0.values.copy()
+    builder = fl._TraceBuilder.start("annealed", cfg, obj.sample, y)
+    noise, pos, t = None, 8192, 0.0
+    for step in range(n_steps):
+        _, grad, _ = obj.value_and_grad(y)
+        if cfg.noise_beta > 0.0:
+            if pos == 8192:
+                noise, pos = rng.standard_normal((8192, y.size)), 0
+            scale = cfg.noise_beta * np.sqrt(h) * math.sqrt(cfg.anneal_c / math.log(2.0 + t))
+            y = y - h * grad + scale * noise[pos]
+            pos += 1
+        else:
+            y = y - h * grad
+        t = (step + 1) * h
+        if (step + 1) % stride == 0 or step == n_steps - 1:
+            counters = {"em_steps": step + 1}
+            if not np.all(np.isfinite(y)):
+                state = ar.ParamVector(np.zeros(y.size), w0.level)
+                return builder.finish("divergence", state, "non-finite state", counters)
+            try:
+                builder.record(t, obj.sample(y))
+            except DivergenceError:
+                state = ar.ParamVector(np.where(np.isfinite(y), y, 0.0), w0.level)
+                return builder.finish("divergence", state, "loss diverged", counters)
+    return builder.finish("t_end", ar.ParamVector(y, w0.level), counters={"em_steps": n_steps})
+
+
+class TestAnnealedMatchesReference:
+    """The float-state loop of the scalar closure equals the array loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        w0=st.floats(-2.0, 2.0),
+        beta=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+        sde_step=st.one_of(st.floats(1e-3, 0.05), st.floats(0.3, 2.0)),
+        t_end=st.floats(0.5, 3.0),
+        record_every=st.floats(0.01, 1.0),
+    )
+    # divergent: the state overflows between samples, or the loss passes the cap
+    @example(seed=1, w0=-1.2, beta=1.0, sde_step=0.5, t_end=20.0, record_every=4.5)
+    @example(seed=1, w0=-1.2, beta=1.0, sde_step=0.9, t_end=5.0, record_every=0.3)
+    def test_trace_equals_reference(self, seed, w0, beta, sde_step, t_end, record_every):
+        assume(not (t_end / record_every).is_integer())
+        cfg = fl.FlowConfig(
+            t_end=t_end, record_every=record_every, seed=seed,
+            noise_beta=beta, anneal_c=2.0, sde_step=sde_step,
+        )
+        w = ar.ParamVector(np.array([w0]))
+        # on divergent draws both loops overflow in the sample diagnostics
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = fl.integrate_annealed(WELL_PROBLEM, WELL_ARCH, w, cfg)
+            ref = _reference_annealed(WELL_PROBLEM, WELL_ARCH, w, cfg)
+        assert traceio.trace_to_lines(fast) == traceio.trace_to_lines(ref)
+        # a leaked np.float64 is slower but changes no bit, so check the type
+        obj = fl.ParametricObjective(WELL_PROBLEM, WELL_ARCH)
+        assert [type(x) for x in obj._scalar(w0)] == [float, float]
+        assert [type(x) for x in obj.value_and_grad(w0)] == [float, float, bool]
+
+    def test_divergent_examples_diverge(self):
+        w = ar.ParamVector(np.array([-1.2]))
+        details = []
+        for step, t_end, every in ((0.5, 20.0, 4.5), (0.9, 5.0, 0.3)):
+            cfg = fl.FlowConfig(t_end=t_end, record_every=every, seed=1, noise_beta=1.0, sde_step=step)
+            details.append(fl.integrate_annealed(WELL_PROBLEM, WELL_ARCH, w, cfg).events[-1].detail)
+        assert details == ["non-finite state", "loss diverged"]
 
 
 class TestLyapunovCheck:
