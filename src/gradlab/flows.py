@@ -226,15 +226,17 @@ class ParametricObjective:
         return loss, jac @ (self._l2w * dl), clamped
 
     def sample(self, values: np.ndarray):
-        """The recorded sample at ``values``: (loss, gradient norm, extras)."""
-        loss, grad, clamped = self.value_and_grad(values)
-        extras = {
-            "mu": self.min_nonzero_eig(values),
-            "model_error": self.model_error(values),
-            "clamped": clamped,
-            "params": values,
-        }
-        return loss, float(np.linalg.norm(grad)), extras
+        """The recorded sample at ``values``: (loss, gradient norm, extras).
+        An overflow here is reported by the trace as divergence, not by numpy."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad, clamped = self.value_and_grad(values)
+            extras = {
+                "mu": self.min_nonzero_eig(values),
+                "model_error": self.model_error(values),
+                "clamped": clamped,
+                "params": values,
+            }
+            return loss, float(np.linalg.norm(grad)), extras
 
     def min_nonzero_eig(self, values: np.ndarray) -> float:
         diag = arch_mod.tangent_gram(

@@ -176,6 +176,17 @@ def npbe_problem(
     ``spaces.to_nodal``/``from_nodal``; ``compiled_loss`` takes it on their
     array cores, because validating a ``Field`` per transform would cost
     more than the small 1-D kernel itself.
+
+    The ``Field`` callables share one cached nodal state: the clamped
+    values, mask and clamp flag of the last coefficient vector they saw,
+    keyed by a private copy of it compared bit for bit (so ``-0.0`` against
+    ``+0.0`` and any NaN miss).  ``nominal_loss`` thus synthesises ``g``
+    once, not three times.  Each set of pieces fills one preallocated
+    nodal work cube in place for the mask's ``abs``, ``sinh`` and the
+    ``cosh``-weighted product, with the same operations in the same order;
+    every array handed out is freshly allocated.  The cache and the work
+    cube make a ``Problem`` non-reentrant: do not call one from two threads
+    at once (gradlab never does).
     """
     if basis.kind != "sine":
         raise ConfigurationError("npbe requires a sine-spectral basis")
@@ -185,21 +196,25 @@ def npbe_problem(
 
     def npbe_pieces(to_nodal, from_nodal):
         """The clamped nodal values, the residual and its L2 gradient."""
+        work = np.empty((2 * n,) * d)
 
         def nodal(c: np.ndarray):
             """Clamped nodal values of c, the unclamped mask, the clamp flag."""
             vals = to_nodal(c)
-            mask = np.abs(vals) <= clamp
+            mask = np.abs(vals, out=work) <= clamp
             clamped = not bool(mask.all())
             if clamped:
                 vals = np.clip(vals, -clamp, clamp)
             return vals, mask, clamped
 
         def residual(c: np.ndarray, vals: np.ndarray) -> np.ndarray:
-            return -eigs * c + from_nodal(np.sinh(vals)) + h
+            return -eigs * c + from_nodal(np.sinh(vals, out=work)) + h
 
         def gradient(r: np.ndarray, vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-            return -eigs * r + from_nodal(np.cosh(vals) * mask * to_nodal(r))
+            w = np.cosh(vals, out=work)
+            w *= mask
+            w *= to_nodal(r)
+            return -eigs * r + from_nodal(w)
 
         return nodal, residual, gradient
 
@@ -211,13 +226,23 @@ def npbe_problem(
         lambda c: spaces._to_nodal_raw(c, n, d, 2),
         lambda v: spaces._from_nodal_raw(v, n, d, 2),
     )
-    h = eigs * phi.coeffs - spaces.from_nodal(np.sinh(nodal(phi.coeffs)[0]), basis).coeffs
+    cache = None  # (private copy of the last c, its nodal(c))
+
+    def nodal_of(c: np.ndarray):
+        nonlocal cache
+        if cache is not None and np.array_equal(cache[0].view(np.uint64), c.view(np.uint64)):
+            return cache[1]
+        entry = nodal(c)
+        cache = (c.copy(), entry)
+        return entry
+
+    h = eigs * phi.coeffs - spaces.from_nodal(np.sinh(nodal_of(phi.coeffs)[0]), basis).coeffs
 
     def res(g: Field) -> Field:
-        return g.with_coeffs(residual(g.coeffs, nodal(g.coeffs)[0]))
+        return g.with_coeffs(residual(g.coeffs, nodal_of(g.coeffs)[0]))
 
     def dl(g: Field, r: Field) -> Field:
-        vals, mask, _ = nodal(g.coeffs)
+        vals, mask, _ = nodal_of(g.coeffs)
         return r.with_coeffs(gradient(r.coeffs, vals, mask))
 
     def compiled_loss(c: np.ndarray):
@@ -234,7 +259,7 @@ def npbe_problem(
         basis=basis,
         compiled_loss=compiled_loss,
         known_solution=phi,
-        clamp_probe=lambda g: nodal(g.coeffs)[2],
+        clamp_probe=lambda g: nodal_of(g.coeffs)[2],
     )
 
 

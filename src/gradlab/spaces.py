@@ -120,7 +120,7 @@ class Field:
             raise ShapeError(
                 f"expected {self.basis.size} coefficients, got {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ShapeError("field coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -9,6 +9,9 @@ checkout's ``src``.  The trees are imported as the packages
 * for the quadratic, NPBE and custom problems, whether
   ``ParametricObjective.value_and_grad`` and ``nominal_loss`` return the
   same values on seeded states;
+* whether ``nominal_loss`` and ``compiled_loss`` of a 3-D n=9 NPBE problem
+  return the same values on the state sequence A, B, A, A, C (C clamps),
+  which repeats a state right after itself and after another;
 * whether seeded ``integrate_annealed`` runs on the double well (the
   scalar-closure path, which no shipped config takes) write the same trace;
 * for every case of ``regenerate.py`` (each shipped config and the 3-D
@@ -133,6 +136,28 @@ def compare_objectives(mods) -> list[str]:
     return lines
 
 
+def compare_npbe_3d(mods) -> list[str]:
+    """One 3-D n=9 NPBE problem per tree on the states A, B, A, A, C."""
+    rng = np.random.default_rng(1)
+    a, b, c = (scale * rng.standard_normal(9**3) for scale in (0.3, 0.3, 30.0))
+    got = []
+    for mod in mods:
+        sp, pr = mod("spaces"), mod("problems")
+        cube = sp.make_space(sp.Domain(3), 9)
+        p = pr.npbe_problem(cube, sp.field_from_modes(cube, [(1, 0.6), (2, 0.25)]))
+        flat, flags = [], ""
+        for state in (a, b, a, a, c):
+            ev = pr.nominal_loss(p, sp.Field(state, cube))
+            loss, dl, clamped = p.compiled_loss(state)
+            flat += [ev.value, *ev.gradient.coeffs, ev.residual_norm, ev.clamped]
+            flat += [loss, *dl, clamped]
+            flags += "C" if ev.clamped else "-"
+        got.append(flat)
+    # the flags are the change tree's; a clamp flag that differs shows as a gap
+    label = f"objective npbe 3-D n=9 on A, B, A, A, C (clamped {flags})"
+    return [f"{label}: nominal_loss and compiled_loss {gap(*got)}"]
+
+
 def compare_annealed(mods) -> list[str]:
     """Three seeded double-well runs of ``integrate_annealed``, t_end 20."""
     wells = [_problems(mod)[1] for mod in mods]  # the "quadratic curve" double well
@@ -207,7 +232,8 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/golden/ab.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
     mods = [load_tree(src, name) for src, name in zip(argv, TREES)]
-    lines = compare_objectives(mods) + compare_annealed(mods) + compare_runs(mods)
+    lines = compare_objectives(mods) + compare_npbe_3d(mods) + compare_annealed(mods)
+    lines += compare_runs(mods)
     print("\n".join(lines))
     return 0 if all(line.endswith(" identical") for line in lines) else 1
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -377,7 +378,7 @@ class TestAnnealedMatchesReference:
             noise_beta=beta, anneal_c=2.0, sde_step=sde_step,
         )
         w = ar.ParamVector(np.array([w0]))
-        # on divergent draws both loops overflow in the sample diagnostics
+        # on divergent draws the reference loop's array state can overflow
         with np.errstate(over="ignore", invalid="ignore"):
             fast = fl.integrate_annealed(WELL_PROBLEM, WELL_ARCH, w, cfg)
             ref = _reference_annealed(WELL_PROBLEM, WELL_ARCH, w, cfg)
@@ -394,6 +395,17 @@ class TestAnnealedMatchesReference:
             cfg = fl.FlowConfig(t_end=t_end, record_every=every, seed=1, noise_beta=1.0, sde_step=step)
             details.append(fl.integrate_annealed(WELL_PROBLEM, WELL_ARCH, w, cfg).events[-1].detail)
         assert details == ["non-finite state", "loss diverged"]
+
+    def test_overflowing_sample_warns_nothing(self):
+        # the recorded sample's gradient norm overflows; the trace reports it
+        cfg = fl.FlowConfig(t_end=2.5, record_every=1.0, sde_step=0.375, noise_beta=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = fl.integrate_annealed(
+                WELL_PROBLEM, WELL_ARCH, ar.ParamVector(np.array([2.0])), cfg
+            )
+        assert trace.terminal_reason == "divergence"
+        assert trace.events[-1] == fl.FlowEvent(1.125, "stop", "loss diverged")
 
 
 class TestLyapunovCheck:

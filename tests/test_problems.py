@@ -193,6 +193,84 @@ class TestFieldPathMatchesKernel:
         assert abs(ev.value - loss) <= 4 * p.basis.size * np.finfo(float).eps * loss
 
 
+def _bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _npbe_calls(p, c, order):
+    """The NPBE callables at c, called in ``order``, as arrays in a fixed
+    order: residual, L2 gradient, clamp flag, then compiled_loss's three."""
+    g = sp.Field(c, p.basis)
+    out = {}
+    for call in order:
+        if call == "field":
+            r = p.residual_map(g)
+            out["field"] = [r.coeffs, p.l2_gradient_map(g, r).coeffs]
+        elif call == "clamp":
+            out["clamp"] = [np.array(p.clamp_probe(g))]
+        else:
+            loss, dl, clamped = p.compiled_loss(c)
+            out["kernel"] = [np.array(loss), dl, np.array(clamped)]
+    return out["field"] + out["clamp"] + out["kernel"]
+
+
+class TestNodalCache:
+    """The cached nodal state and the nodal work cube change no bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.one_of(
+            st.tuples(st.just(1), st.integers(4, 64)), st.tuples(st.just(3), st.integers(4, 9))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        log_scales=st.lists(st.floats(-2.0, np.log10(30.0)), min_size=3, max_size=3),
+        revisits=st.lists(st.integers(0, 5), max_size=8),
+        order=st.permutations(["field", "clamp", "kernel"]),
+    )
+    def test_cached_calls_equal_fresh_problem(self, grid, seed, log_scales, revisits, order):
+        d, n = grid
+        basis = sp.make_space(sp.Domain(d), n)
+        phi = sp.field_from_modes(basis, [(1, 0.6)])
+        rng = np.random.default_rng(seed)
+        a, b, c = (10.0**s * rng.standard_normal(basis.size) for s in log_scales)
+        i, j = rng.choice(basis.size, 2, replace=False)
+        zero = a.copy()
+        zero[i] = 0.0
+        negative_zero = zero.copy()
+        negative_zero[i] = -0.0
+        ulp = zero.copy()
+        ulp[j] = np.nextafter(ulp[j], np.inf)
+        pool = [a, b, c, zero, negative_zero, ulp]
+        states = [a, b, a, a, zero, negative_zero, zero, ulp, zero, c] + [pool[k] for k in revisits]
+        p = pr.npbe_problem(basis, phi)
+        # one buffer overwritten in place, as an integrator reuses its state
+        buf = np.empty(basis.size)
+        previous = None
+        for state in states:
+            buf[:] = state
+            got = _npbe_calls(p, buf, order)
+            fresh = _npbe_calls(pr.npbe_problem(basis, phi), state.copy(), order)
+            assert _bits(got) == _bits(fresh)
+            if previous is not None:
+                arrays, bits = previous
+                assert _bits(arrays) == bits  # nothing handed out was overwritten
+            previous = (got, _bits(got))
+
+    def test_nominal_loss_transforms_each_state_once(self, monkeypatch):
+        basis = sp.make_space(sp.Domain(3), 9)
+        p = pr.npbe_problem(basis, sp.field_from_modes(basis, [(1, 0.6), (2, 0.25)]))
+        calls = {"to_nodal": 0, "from_nodal": 0}
+        for name in calls:
+            def counted(*args, name=name, transform=getattr(sp, name)):
+                calls[name] += 1
+                return transform(*args)
+
+            monkeypatch.setattr(sp, name, counted)
+        g = sp.Field(0.3 * np.random.default_rng(5).standard_normal(basis.size), basis)
+        pr.nominal_loss(p, g)
+        assert calls == {"to_nodal": 2, "from_nodal": 2}
+
+
 class TestCoercivityProbe:
     def test_quadratic_exit_radius(self, basis_64):
         phi = sp.field_from_modes(basis_64, [(1, 0.3)])
