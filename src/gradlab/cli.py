@@ -5,8 +5,8 @@ another), ``grow``/``eci`` (expansion loop), ``spectrum``
 (kernel eigenvalue tables), ``coverage-demo`` (plane-coverage brute force),
 and ``analyze`` (re-run analysis on an existing trace file).
 
-Exit codes: 0 success, 1 configuration error, 2 divergence (in a run, or
-raised while setting one up), 3 expansion rejected.  Every failure prints
+Exit codes: 0 success, 1 configuration or usage error, 2 divergence (in a
+run, or raised while setting one up), 3 expansion rejected.  Every failure prints
 one line on stderr.  Output payloads are byte-identical across repeated
 runs with the same config and seed; only manifest timestamps differ.
 """
@@ -154,12 +154,9 @@ def cmd_run(args) -> int:
             continue  # its own run reports the error
         prefix = (_out_dir(args, cfg) / Path(path).stem).resolve()
         if prefix in writers:
-            print(
-                f"config error: {writers[prefix]} and {path} would both "
-                f"write {prefix}_*",
-                file=sys.stderr,
+            raise ConfigurationError(
+                f"{writers[prefix]} and {path} would both write {prefix}_*"
             )
-            return EXIT_CONFIG
         writers[prefix] = path
     return max([_guard(_run_single, path, args) for path in args.config])
 
@@ -180,9 +177,7 @@ def _run_single(config_path, args) -> int:
         w0 = config_mod.initial_params(cfg, arch)
         if flow_kind == "annealed":
             if flow_cfg.noise_beta <= 0:
-                raise ConfigurationError(
-                    "flow.noise_beta: must be > 0 for the annealed flow"
-                )
+                raise ConfigurationError("flow.noise_beta must be > 0 for the annealed flow")
             trace = flow_mod.integrate_annealed(problem, arch, w0, flow_cfg)
         else:
             trace = flow_mod.integrate_parametric(problem, arch, w0, flow_cfg)
@@ -344,7 +339,7 @@ def cmd_coverage_demo(args) -> int:
     cfg = config_mod.load_config(config_path)
     out = _resolve_out_dir(args, cfg)
     count = cfg.get_int("coverage", "count", 100)
-    seed = cfg.get_int("coverage", "seed", 0) if args.seed is None else args.seed
+    seed = cfg.get_seed("coverage", "seed", args.seed)
     box = cfg.get_float("coverage", "box", 100.0)
     step = cfg.get_float("coverage", "grid_step", 1e-3)
     gmax = cfg.get_float("coverage", "grid_max", 150.0)
@@ -387,8 +382,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: exit 1, one stderr line."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradlab",
         description="gradient-flow experiments on discretized function spaces",
     )
@@ -424,9 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
-    return _guard(args.func, args)
+    return args.func(args)
+
+
+def main(argv=None) -> int:
+    return _guard(_dispatch, argv)
 
 
 if __name__ == "__main__":

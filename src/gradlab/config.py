@@ -6,7 +6,7 @@ error messages name the offending ``section.key``.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,30 +28,15 @@ _SCHEMA = {
     "architecture": {
         "kind", "a", "modes", "w0", "init", "init_scale", "init_seed",
     },
-    "flow": {
-        "kind", "t_end", "rel_tol", "abs_tol", "grad_stop", "stall_window",
-        "stall_rel_change", "stall_grad_level", "stall_loss_floor",
-        "record_every", "seed", "anneal_c", "noise_beta", "sde_step",
-        "record_params", "max_steps", "g0",
-    },
+    "flow": {"kind", "g0", *(f.name for f in fields(FlowConfig))},
     "analysis": {
         "lojasiewicz", "rate", "critical_point", "kernel_decay",
         "loss_target", "alpha",
     },
-    "growth": {
-        "max_levels", "params_per_expansion", "solution_tol",
-        "frequency_seed", "forced_frequencies",
-    },
+    "growth": {f.name for f in fields(GrowthSchedule)},
     "spectrum": {"count", "seed", "sweep", "w", "metric"},
     "coverage": {"count", "seed", "box", "grid_step", "grid_max"},
     "output": {"dir"},
-}
-
-_POSITIVE_KEYS = {
-    ("flow", "t_end"), ("flow", "rel_tol"), ("flow", "abs_tol"),
-    ("flow", "record_every"), ("flow", "sde_step"),
-    ("problem", "resolution"), ("problem", "clamp"),
-    ("growth", "solution_tol"),
 }
 
 
@@ -75,20 +60,22 @@ class ExperimentConfig:
         if text is None:
             return default
         try:
-            value = conv(text)
+            return conv(text)
         except (ValueError, TypeError):
-            raise ConfigurationError(
-                f"{section}.{key}: cannot parse value '{text}'"
-            ) from None
-        if (section, key) in _POSITIVE_KEYS and value <= 0:
-            raise ConfigurationError(f"{section}.{key}: must be > 0, got {text}")
-        return value
+            raise ConfigurationError(f"{section}.{key}: cannot parse value '{text}'") from None
 
     def get_float(self, section, key, default=None):
         return self._convert(section, key, float, default)
 
     def get_int(self, section, key, default=None):
         return self._convert(section, key, int, default)
+
+    def get_seed(self, section, key, override=None) -> int:
+        """``override`` (a ``--seed``) or the key, default 0; never negative."""
+        seed = self.get_int(section, key, 0) if override is None else override
+        if seed < 0:
+            raise ConfigurationError(f"{section}.{key} must be >= 0, got {seed}")
+        return seed
 
     def get_bool(self, section, key, default=False):
         text = self.get(section, key)
@@ -180,7 +167,7 @@ def build_problem(cfg: ExperimentConfig):
         spaces.DEFAULT_RESOLUTION_1D if dimension == 1 else spaces.DEFAULT_RESOLUTION_3D
     )
     resolution = cfg.get_int("problem", "resolution", default_res)
-    basis = spaces.make_space(Domain(dimension), resolution)
+    basis = _in_section("problem", spaces.make_space, Domain(dimension), resolution)
     phi_text = cfg.get("problem", "phi")
     if phi_text is None:
         raise ConfigurationError("problem.phi: manufactured solution is required")
@@ -190,7 +177,9 @@ def build_problem(cfg: ExperimentConfig):
     if kind == "quadratic":
         return prob_mod.quadratic_problem(basis, phi, metric, name=name)
     clamp = cfg.get_float("problem", "clamp", spaces.DEFAULT_CLAMP)
-    return prob_mod.npbe_problem(basis, phi, metric, clamp=clamp, name=name)
+    return _in_section(
+        "problem", prob_mod.npbe_problem, basis, phi, metric, clamp=clamp, name=name
+    )
 
 
 def build_architecture(cfg: ExperimentConfig, basis) -> ArchitectureSpec:
@@ -228,7 +217,7 @@ def initial_params(cfg: ExperimentConfig, arch: ArchitectureSpec) -> ParamVector
         return ParamVector(_param_values(w0_text, "architecture.w0", m))
     init = cfg.get("architecture", "init", "normal")
     scale = cfg.get_float("architecture", "init_scale", 1.0)
-    seed = cfg.get_int("architecture", "init_seed", 0)
+    seed = cfg.get_seed("architecture", "init_seed")
     rng = np.random.default_rng(seed)
     if init == "normal":
         values = scale * rng.standard_normal(m)
@@ -239,42 +228,41 @@ def initial_params(cfg: ExperimentConfig, arch: ArchitectureSpec) -> ParamVector
     return ParamVector(values)
 
 
+def _in_section(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose errors begin with a key name,
+    prefixed with ``section.``"""
+    try:
+        return build(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{section}.{exc}") from None
+
+
+# how a settings dataclass field is read, by its annotation
+_READERS = {
+    "float": ExperimentConfig.get_float, "float | None": ExperimentConfig.get_float,
+    "int": ExperimentConfig.get_int, "bool": ExperimentConfig.get_bool,
+    "tuple[float, ...]": lambda cfg, s, k: tuple(_parse_floats(cfg.get(s, k), f"{s}.{k}")),
+}
+
+
+def _settings(cfg: ExperimentConfig, section: str, cls, **override):
+    """``cls`` built from the keys of ``[section]`` that are present, each
+    parsed by its field's annotation; ``override`` wins over the file."""
+    kwargs = {
+        f.name: _READERS[f.type](cfg, section, f.name)
+        for f in fields(cls)
+        if cfg.has(section, f.name)
+    }
+    return _in_section(section, cls, **{**kwargs, **override})
+
+
 def build_flow_config(cfg: ExperimentConfig, seed_override: int | None = None) -> FlowConfig:
-    kwargs = {}
-    for key in (
-        "t_end", "rel_tol", "abs_tol", "grad_stop", "stall_rel_change",
-        "stall_grad_level", "stall_loss_floor", "record_every",
-        "anneal_c", "noise_beta", "sde_step",
-    ):
-        value = cfg.get_float("flow", key, None)
-        if value is not None:
-            kwargs[key] = value
-    for key in ("stall_window", "seed", "max_steps"):
-        value = cfg.get_int("flow", key, None)
-        if value is not None:
-            kwargs[key] = value
-    if cfg.has("flow", "record_params"):
-        kwargs["record_params"] = cfg.get_bool("flow", "record_params")
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return FlowConfig(**kwargs)
+    override = {} if seed_override is None else {"seed": seed_override}
+    return _settings(cfg, "flow", FlowConfig, **override)
 
 
 def build_growth_schedule(cfg: ExperimentConfig) -> GrowthSchedule:
-    kwargs = {}
-    for key in ("max_levels", "params_per_expansion", "frequency_seed"):
-        value = cfg.get_int("growth", key, None)
-        if value is not None:
-            kwargs[key] = value
-    tol = cfg.get_float("growth", "solution_tol", None)
-    if tol is not None:
-        kwargs["solution_tol"] = tol
-    forced = cfg.get("growth", "forced_frequencies")
-    if forced is not None:
-        kwargs["forced_frequencies"] = tuple(
-            _parse_floats(forced, "growth.forced_frequencies")
-        )
-    return GrowthSchedule(**kwargs)
+    return _settings(cfg, "growth", GrowthSchedule)
 
 
 def initial_field(cfg: ExperimentConfig, basis) -> Field:
@@ -305,6 +293,5 @@ def build_spectrum(cfg: ExperimentConfig, arch: ArchitectureSpec, seed_override=
             ) from None
         return metric, [np.array([w]) for w in grid]
     count = cfg.get_int("spectrum", "count", 5)
-    seed = cfg.get_int("spectrum", "seed", 0) if seed_override is None else seed_override
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.get_seed("spectrum", "seed", seed_override))
     return metric, [rng.uniform(-3.0, 3.0, size=m) for _ in range(count)]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import LSODA
@@ -39,6 +39,27 @@ from .spaces import Field, SobolevOrder
 TERMINAL_REASONS = ("grad_stop", "stall", "t_end", "divergence")
 # a recorded loss above this counts as divergence
 LOSS_CAP = 1e60
+
+
+_BOUNDS = {
+    "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+    "even and >= 2": lambda v: v >= 2 and v % 2 == 0,
+}
+
+
+def _check_fields(settings, bounds: dict[str, tuple[str, ...]]) -> None:
+    """Reject a settings dataclass with a non-finite number (tuples checked
+    entrywise) or a field that breaks the bound it is listed under; the
+    message begins with the field name, and ``None`` passes."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        bound = next((b for b, names in bounds.items() if f.name in names), None)
+        if value is None:
+            continue
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        if bound is not None and not _BOUNDS[bound](value):
+            raise ConfigurationError(f"{f.name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -71,19 +92,12 @@ class FlowConfig:
     max_steps: int = 500_000
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ConfigurationError("t_end must be > 0")
-        for name in ("rel_tol", "abs_tol", "sde_step"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be > 0")
-        for name in ("anneal_c", "noise_beta", "sde_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
-        for name in ("grad_stop", "stall_rel_change", "anneal_c", "noise_beta"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.record_every is not None and self.record_every <= 0:
-            raise ConfigurationError("record_every must be > 0")
+        _check_fields(self, {
+            "> 0": ("t_end", "rel_tol", "abs_tol", "sde_step", "record_every"),
+            ">= 0": ("grad_stop", "stall_rel_change", "stall_grad_level", "stall_loss_floor",
+                     "anneal_c", "noise_beta", "seed"),
+            ">= 1": ("stall_window", "max_steps"),
+        })
 
     @property
     def sample_interval(self) -> float:
@@ -511,13 +525,18 @@ def integrate_annealed(
 
     Noise scale per step is alpha(t) * beta * sqrt(h) with
     alpha(t) = sqrt(c / log(2 + t)).  Bit-identical traces for a fixed
-    seed; beta = 0 degenerates to plain Euler descent.  Under the scalar
+    seed; beta = 0 degenerates to plain Euler descent.  When h does not
+    divide t_end, a last step of length t_end - (n-1)*h, with its drift and
+    noise scaled to that length, ends the run on t_end.  Under the scalar
     closure the state is a Python ``float`` (an array only where a sample
     is recorded), else an array; both run the same IEEE operations.
     """
     obj = ParametricObjective(p, a)
     h = cfg.sde_step
     n_steps = int(np.ceil(cfg.t_end / h))
+    if (n_steps - 1) * h >= cfg.t_end:  # the quotient rounded up past an integer
+        n_steps -= 1
+    full = n_steps if n_steps * h == cfg.t_end else n_steps - 1  # steps of length h
     record_stride = max(1, int(round(cfg.sample_interval / h)))
     rng = np.random.default_rng(cfg.seed)
     if obj._scalar is not None:
@@ -543,18 +562,24 @@ def integrate_annealed(
     c_anneal = cfg.anneal_c
     for start in range(0, n_steps, record_stride):  # one block per sample
         done = min(start + record_stride, n_steps)
-        for step in range(start, done):
+        for step in range(start, min(done, full)):
             _, grad, _ = obj.value_and_grad(y)
             if beta > 0.0:
                 scale = beta_sqrt_h * math.sqrt(c_anneal / math.log(2.0 + step * h))
                 y = y - h * grad + scale * next(noise)
             else:
                 y = y - h * grad
+        if done > full:  # the short last step, drift and noise scaled to its length
+            dt = cfg.t_end - full * h
+            y = y - dt * obj.value_and_grad(y)[1]
+            if beta > 0.0:
+                scale = beta * math.sqrt(dt) * math.sqrt(c_anneal / math.log(2.0 + full * h))
+                y = y + scale * next(noise)
         state = as_array(y)
         if not np.all(np.isfinite(state)):
             return finish("divergence", np.zeros(w0.size), "non-finite state")
         try:
-            builder.record(done * h, obj.sample(state))
+            builder.record(cfg.t_end if done == n_steps else done * h, obj.sample(state))
         except DivergenceError:
             return finish("divergence", np.where(np.isfinite(state), state, 0.0), "loss diverged")
     return finish("t_end", state)

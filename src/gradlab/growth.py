@@ -46,10 +46,10 @@ class GrowthSchedule:
     forced_frequencies: tuple[float, ...] = ()  # test hook: consumed in order
 
     def __post_init__(self):
-        if self.params_per_expansion < 2 or self.params_per_expansion % 2 != 0:
-            raise ConfigurationError("params_per_expansion must be even and >= 2")
-        if self.max_levels < 1:
-            raise ConfigurationError("max_levels must be >= 1")
+        flow_mod._check_fields(self, {
+            "> 0": ("solution_tol",), ">= 0": ("frequency_seed",), ">= 1": ("max_levels",),
+            "even and >= 2": ("params_per_expansion",),
+        })
 
 
 @dataclass(frozen=True)
@@ -157,15 +157,18 @@ def expand(
 ) -> tuple[ArchitectureSpec, ParamVector, ExpansionEvent]:
     """Append parameters without changing the model.
 
+    New frequencies are popped from ``forced_frequencies`` (default: a copy
+    of ``rule.forced_frequencies``) while it lasts, so a reused list goes on.
+
     Raises :class:`ExpansionRejectedError` when the new Jacobian rows fail
     to raise the numerical rank of the tangent Gram matrix (for instance a
     duplicated sinusoid frequency).
     """
     if rng is None:
         rng = np.random.default_rng(rule.frequency_seed)
-    forced = list(forced_frequencies) if forced_frequencies is not None else list(
-        rule.forced_frequencies
-    )
+    forced = forced_frequencies
+    if forced is None:
+        forced = list(rule.forced_frequencies)
     if a.kind == "sinusoid":
         a_next, w_next_values, new_freqs = _expand_sinusoid(a, w_star, rule, rng, forced)
     elif a.kind == "affine":
@@ -311,7 +314,7 @@ def run_growth_loop(
                 t=t_offset + trace.t[-1],
                 metric=p.gradient_metric,
                 rng=rng,
-                forced_frequencies=forced if forced else None,
+                forced_frequencies=forced,
             )
         except ExpansionRejectedError as exc:
             exc.growth_trace = _finish_growth(

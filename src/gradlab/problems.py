@@ -190,6 +190,8 @@ def npbe_problem(
     """
     if basis.kind != "sine":
         raise ConfigurationError("npbe requires a sine-spectral basis")
+    if not 0 < clamp < np.inf:
+        raise ConfigurationError(f"clamp must be finite and > 0, got {clamp}")
     eigs = basis.eigenvalues
     n, d = basis.n, basis.dimension
     l2_weight = spaces.HALF_WIDTH ** d

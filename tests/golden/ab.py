@@ -19,8 +19,10 @@ checkout's ``src``.  The trees are imported as the packages
   ``cli.main`` is the same: the exit code, stdout, and every file written.
   Manifest ``started_at``/``finished_at`` are left out.
 
-A line reads "identical" when the two outputs are equal bit for bit, and
-otherwise gives the largest numeric gap.  The exit status is 0 when every
+A line reads "identical" when the two outputs are equal bit for bit:
+texts byte for byte, numbers by their float64 bit patterns (so ``-0.0``
+against ``0.0`` is a difference).  Otherwise it gives the largest numeric
+gap.  The exit status is 0 when every
 line is identical and 1 otherwise.
 """
 
@@ -60,15 +62,19 @@ def load_tree(src: str, name: str):
 
 
 def gap(a, b) -> str:
-    """Compare two collections of numbers: "identical", or their largest
-    absolute gap."""
+    """Compare two collections of numbers as float64 bit patterns, so the
+    sign of a zero and a NaN's payload count: "identical", or how many
+    values differ and their largest absolute gap."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         return f"shapes differ: {a.shape} against {b.shape}"
-    if np.array_equal(a, b, equal_nan=True):
+    differ = a.view(np.uint64) != b.view(np.uint64)
+    if not differ.any():
         return "identical"
-    return f"largest gap {np.nanmax(np.abs(a - b)):.3e}"
+    gaps = np.abs(a - b)[differ]
+    largest = gaps[~np.isnan(gaps)].max(initial=0.0)
+    return f"{int(differ.sum())} values differ in bits, largest gap {largest:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +206,12 @@ def run_outputs(mod, name: str, workdir: Path) -> dict[str, object]:
 def compare_output(a, b) -> str:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return gap(a, b)
-    if a == b:
+    if a.encode() == b.encode():
         return "identical"
     if NUMBER.split(a) != NUMBER.split(b):
         return "differs in more than numbers"
-    return gap(*([float(x) for x in NUMBER.findall(text)] for text in (a, b)))
+    verdict = gap(*([float(x) for x in NUMBER.findall(text)] for text in (a, b)))
+    return "numbers written differently" if verdict == "identical" else verdict
 
 
 def compare_runs(mods) -> list[str]:

@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from gradlab import cli
 from gradlab import traceio
 from gradlab.errors import DivergenceError
+from gradlab.flows import FlowConfig
+from gradlab.growth import GrowthSchedule
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -586,7 +589,7 @@ class TestFailures:
     def test_invalid_anneal_c_is_a_config_error(self, name, tmp_path, capsys):
         # was a math-domain traceback (-1) and a reported divergence (nan)
         assert cli.main(_input_case(tmp_path)[f"run_{name}_anneal_c"]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: anneal_c must be ")
+        assert capsys.readouterr().err.startswith("config error: flow.anneal_c must be ")
 
     @pytest.mark.parametrize(
         "line", ["[1, 2]", '{"record": "sample", "t": 0}', '{"record": "x"}', "{"]
@@ -632,3 +635,145 @@ class TestFailures:
             assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
         assert [str(w.message) for w in caught] == []
         assert len(capsys.readouterr().err.splitlines()) == (code == cli.EXIT_CONFIG)
+
+
+# every [flow] and [growth] key with values that must be refused: NaN,
+# infinity, negative, 0 where > 0 is required, a non-integer for an integer
+POSITIVE = ["nan", "inf", "-1", "0"]
+NON_NEGATIVE = ["nan", "inf", "-1e-3"]
+AT_LEAST_ONE = ["-3", "0", "2.5"]
+SEED = ["-1", "2.5", "nan"]
+INVALID_SETTINGS = {
+    "flow": {
+        **dict.fromkeys(["t_end", "rel_tol", "abs_tol", "sde_step", "record_every"], POSITIVE),
+        **dict.fromkeys(
+            ["grad_stop", "stall_rel_change", "stall_grad_level", "stall_loss_floor",
+             "anneal_c", "noise_beta"],
+            NON_NEGATIVE,
+        ),
+        **dict.fromkeys(["stall_window", "max_steps"], AT_LEAST_ONE),
+        "seed": SEED,
+        "record_params": ["maybe"],
+    },
+    "growth": {
+        "max_levels": AT_LEAST_ONE,
+        "params_per_expansion": ["-2", "0", "3", "2.5"],
+        "solution_tol": POSITIVE,
+        "frequency_seed": SEED,
+        "forced_frequencies": ["nan", "2, inf", "two"],
+    },
+}
+
+SETTINGS_BASE = """
+[problem]
+kind = quadratic
+resolution = 16
+phi = 1:0.5
+
+[architecture]
+kind = sinusoid
+a = 1
+w0 = 0.0, 1.0, 0.1
+
+[flow]
+kind = parametric
+
+[growth]
+"""
+
+
+def test_invalid_settings_cover_every_field():
+    assert set(INVALID_SETTINGS["flow"]) == {f.name for f in fields(FlowConfig)}
+    assert set(INVALID_SETTINGS["growth"]) == {f.name for f in fields(GrowthSchedule)}
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [(s, k, v) for s, keys in INVALID_SETTINGS.items() for k, values in keys.items() for v in values],
+)
+def test_invalid_setting_is_one_named_line(section, key, value, tmp_path, capsys):
+    text = SETTINGS_BASE.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["grow", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert err.startswith(f"config error: {section}.{key}"), err
+
+
+def _named_case(tmp_path):
+    """Inputs refused before any run, each as (argv, the start of its one
+    stderr line)."""
+    out = str(tmp_path / "out")
+    anneal = (CONFIGS / "annealed_double_start.ini").read_text()
+    spiral = "[architecture]\nkind = spiral\n"
+
+    def config(text, name):
+        return str(write_config(tmp_path, text, f"{name}.ini"))
+
+    def anneal_with(old, new, name):
+        assert old in anneal
+        return ["run", "--config", config(anneal.replace(old, new), name), "--out", out]
+
+    npbe = (CONFIGS / "npbe_solve.ini").read_text().replace("[problem]\n", "[problem]\nclamp = {}\n")
+    return {
+        "annealed_nan_t_end": (anneal_with("t_end = 50", "t_end = nan", "a1"), "flow.t_end"),
+        "annealed_inf_t_end": (anneal_with("t_end = 50", "t_end = inf", "a2"), "flow.t_end"),
+        "annealed_nan_record_every": (
+            anneal_with("record_every = 0.5", "record_every = nan", "a3"), "flow.record_every"
+        ),
+        "annealed_negative_seed_option": (
+            ["run", "--config", str(CONFIGS / "annealed_double_start.ini"), "--out", out,
+             "--seed", "-1"],
+            "flow.seed",
+        ),
+        "spectrum_negative_seed": (
+            ["spectrum", "--config", config(spiral + "[spectrum]\nseed = -1\n", "s"), "--out", out],
+            "spectrum.seed",
+        ),
+        "spectrum_negative_seed_option": (
+            ["spectrum", "--config", config(spiral, "s2"), "--out", out, "--seed", "-2"],
+            "spectrum.seed",
+        ),
+        "coverage_negative_seed": (
+            ["coverage-demo", "--config", config("[coverage]\nseed = -1\n", "c"), "--out", out],
+            "coverage.seed",
+        ),
+        "negative_init_seed": (
+            ["run", "--config", config(
+                QUAD_DEMO.replace("w0 = 0.0, 1.0, 0.1", "init_seed = -1"), "i"), "--out", out],
+            "architecture.init_seed",
+        ),
+        "nan_clamp": (["run", "--config", config(npbe.format("nan"), "n1"), "--out", out], "problem.clamp"),
+        "zero_clamp": (["run", "--config", config(npbe.format("0"), "n2"), "--out", out], "problem.clamp"),
+        "zero_resolution": (
+            ["run", "--config", config(QUAD_DEMO.replace("resolution = 64", "resolution = 0"), "r"),
+             "--out", out],
+            "problem.resolution",
+        ),
+        "usage_no_config": (["run"], ""),
+        "usage_non_integer_seed": (["run", "--config", config(QUAD_DEMO, "q"), "--seed", "x"], ""),
+        "usage_no_command": ([], ""),
+    }
+
+
+class TestNamedRefusals:
+    @pytest.mark.parametrize(
+        "case",
+        ["annealed_nan_t_end", "annealed_inf_t_end", "annealed_nan_record_every"]
+        + ["annealed_negative_seed_option", "spectrum_negative_seed"]
+        + ["spectrum_negative_seed_option", "coverage_negative_seed", "negative_init_seed"]
+        + ["nan_clamp", "zero_clamp", "zero_resolution"]
+        + ["usage_no_config", "usage_non_integer_seed", "usage_no_command"],
+    )
+    def test_one_named_line_and_exit_1(self, case, tmp_path, capsys):
+        argv, key = _named_case(tmp_path)[case]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith(f"config error: {key}"), err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["run", "--help"])
+        assert stop.value.code == 0
+        assert "--config" in capsys.readouterr().out

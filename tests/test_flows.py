@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gradlab import architectures as ar
 from gradlab import flows as fl
+from gradlab import growth as gr
 from gradlab import problems as pr
 from gradlab import spaces as sp
 from gradlab import traceio
@@ -288,6 +289,21 @@ class TestAnnealed:
         tr = fl.integrate_annealed(problem, arch, w0, cfg)
         assert fl.lyapunov_check(tr, 1e-9) is None
 
+    @pytest.mark.parametrize("kind", ["sinusoid", "curve"])
+    def test_ends_on_t_end_when_the_step_does_not_divide_it(self, kind, basis_128):
+        # 0.3 does not divide 50: 166 full steps and one of length 0.2
+        if kind == "curve":
+            problem, arch, shallow, _, _ = double_well_fixture()
+            w0 = ar.ParamVector(np.array([shallow]))
+        else:
+            problem = pr.quadratic_problem(basis_128, sp.field_from_modes(basis_128, [(1, 0.5)]))
+            arch = ar.sinusoid_architecture(basis_128, 1)
+            w0 = ar.ParamVector(np.array([0.0, 1.4, 0.05]))
+        cfg = fl.FlowConfig(t_end=50.0, record_every=0.5, seed=3, noise_beta=0.3, sde_step=0.3)
+        trace = fl.integrate_annealed(problem, arch, w0, cfg)
+        assert (trace.terminal_reason, trace.t[-1]) == ("t_end", 50.0)
+        assert trace.events[-1].t == 50.0 and trace.counters == {"em_steps": 167}
+
     def test_requires_positive_sde_step(self):
         with pytest.raises(ConfigurationError):
             fl.FlowConfig(t_end=1.0, sde_step=0.0)
@@ -295,11 +311,22 @@ class TestAnnealed:
     @pytest.mark.parametrize(
         "name, value",
         [("anneal_c", -1.0), ("anneal_c", float("nan")), ("noise_beta", -0.1),
-         ("noise_beta", float("inf")), ("sde_step", float("inf")), ("sde_step", float("nan"))],
+         ("noise_beta", float("inf")), ("sde_step", float("inf")), ("sde_step", float("nan")),
+         ("t_end", float("nan")), ("t_end", float("inf")), ("rel_tol", float("nan")),
+         ("grad_stop", float("nan")), ("record_every", float("nan")),
+         ("record_every", float("inf")), ("stall_window", -3), ("stall_window", 0),
+         ("max_steps", 0), ("seed", -1), ("frequency_seed", -1),
+         ("forced_frequencies", (2.0, float("nan"))), ("solution_tol", 0.0),
+         ("solution_tol", float("inf")), ("max_levels", 0), ("params_per_expansion", 3)],
     )
     def test_rejects_invalid_annealing(self, name, value):
-        with pytest.raises(ConfigurationError, match=name):
-            fl.FlowConfig(t_end=1.0, **{name: value})
+        # FlowConfig and GrowthSchedule name the field their message begins with
+        if hasattr(gr.GrowthSchedule, name):
+            make, kwargs = gr.GrowthSchedule, {name: value}
+        else:
+            make, kwargs = fl.FlowConfig, {"t_end": 1.0, name: value}
+        with pytest.raises(ConfigurationError, match=f"^{name} must be "):
+            make(**kwargs)
 
     def test_one_objective_call_per_step(self, monkeypatch):
         # perfbench counts Euler-Maruyama steps as objective calls minus samples
@@ -327,22 +354,26 @@ def _reference_annealed(p, arch, w0, cfg):
     obj = fl.ParametricObjective(p, arch)
     h = cfg.sde_step
     n_steps = int(np.ceil(cfg.t_end / h))
+    if (n_steps - 1) * h >= cfg.t_end:
+        n_steps -= 1
     stride = max(1, int(round(cfg.sample_interval / h)))
     rng = np.random.default_rng(cfg.seed)
     y = w0.values.copy()
     builder = fl._TraceBuilder.start("annealed", cfg, obj.sample, y)
     noise, pos, t = None, 8192, 0.0
     for step in range(n_steps):
+        # the last step is short when h does not divide t_end
+        dt = h if step < n_steps - 1 or n_steps * h == cfg.t_end else cfg.t_end - t
         _, grad, _ = obj.value_and_grad(y)
         if cfg.noise_beta > 0.0:
             if pos == 8192:
                 noise, pos = rng.standard_normal((8192, y.size)), 0
-            scale = cfg.noise_beta * np.sqrt(h) * math.sqrt(cfg.anneal_c / math.log(2.0 + t))
-            y = y - h * grad + scale * noise[pos]
+            scale = cfg.noise_beta * np.sqrt(dt) * math.sqrt(cfg.anneal_c / math.log(2.0 + t))
+            y = y - dt * grad + scale * noise[pos]
             pos += 1
         else:
-            y = y - h * grad
-        t = (step + 1) * h
+            y = y - dt * grad
+        t = (step + 1) * h if step < n_steps - 1 else cfg.t_end
         if (step + 1) % stride == 0 or step == n_steps - 1:
             counters = {"em_steps": step + 1}
             if not np.all(np.isfinite(y)):

@@ -163,6 +163,17 @@ class TestGrowthLoop:
         assert len(partial.segments) == 1
         assert partial.segments[0].loss[-1] > 1e-3
 
+    def test_forced_frequencies_consumed_in_order(self, basis_128):
+        # each expansion takes the next forced frequency, not the first again
+        phi = sp.field_from_modes(basis_128, [(1, 0.5), (2, 0.3), (3, 0.25)])
+        p = pr.quadratic_problem(basis_128, phi)
+        arch = ar.sinusoid_architecture(basis_128, 1)
+        w0 = ar.ParamVector(np.array([0.0, 1.1, 0.4]))
+        sched = gr.GrowthSchedule(max_levels=3, solution_tol=1e-4, forced_frequencies=(2.0, 3.0))
+        cfg = fl.FlowConfig(t_end=400.0, record_every=0.5, stall_window=40, stall_rel_change=1e-9)
+        gt = gr.run_growth_loop(p, arch, w0, sched, cfg)
+        assert [e.new_frequencies for e in gt.expansions] == [(2.0,), (3.0,)]
+
     def test_projection_extension_round_trip(self, basis_128):
         arch = ar.sinusoid_architecture(basis_128, 1)
         w = ar.ParamVector(np.array([0.3, 1.7, -0.4]))
