@@ -20,7 +20,7 @@ from .architectures import ArchitectureSpec, ParamVector
 from .errors import ConfigurationError
 from .flows import FlowTrace
 from .problems import Problem
-from .spaces import SobolevOrder
+from .spaces import Field, SobolevOrder
 
 # Loss window for tail fits: far enough above float noise, close enough to
 # the limit for the local exponent to bind.
@@ -199,48 +199,32 @@ def classify_critical_point(
     tolerances: CriticalPointTolerances = CriticalPointTolerances(),
 ) -> CriticalPointReport:
     """Classify a candidate equilibrium of the parametric flow."""
-    ev = prob_mod.nominal_loss(p, arch_mod.evaluate(a, w_star))
+    model, jac = arch_mod.model_and_jacobian(a, w_star)
+    ev = prob_mod.nominal_loss(p, Field(model, a.target_basis))
     field_grad_norm = spaces.norm(ev.gradient, p.gradient_metric)
-    _, jac = arch_mod.model_and_jacobian(a, w_star)
     mw = spaces._metric_weights(p.basis, SobolevOrder.L2)
     param_grad = jac @ (mw * spaces.metric_flat(ev.gradient, p.gradient_metric).coeffs)
     param_grad_norm = float(np.linalg.norm(param_grad))
-    diag = arch_mod.tangent_gram(a, w_star, p.gradient_metric)
+    diag = arch_mod.tangent_gram(jac, a.target_basis, p.gradient_metric)
     gram_max = float(np.max(np.abs(diag.gram)))
 
     kernel_residual = None
-    eigs = diag.eigenvalues
-    gram_norm = float(eigs[-1]) if eigs.size else 0.0
+    gram_norm = float(diag.eigenvalues[-1])
     if gram_norm > 0 and field_grad_norm > 0:
-        kg = arch_mod.kernel_apply(a, w_star, ev.gradient, p.gradient_metric)
-        kernel_residual = spaces.norm(kg, p.gradient_metric) / (
-            gram_norm * field_grad_norm
-        )
+        kg = arch_mod.kernel_apply(jac, ev.gradient, p.gradient_metric)
+        kernel_residual = spaces.norm(kg, p.gradient_metric) / (gram_norm * field_grad_norm)
 
-    if param_grad_norm >= tolerances.critical_grad:
-        return CriticalPointReport(
-            "none", param_grad_norm, field_grad_norm, gram_max, kernel_residual
-        )
     fired = []
-    if field_grad_norm < tolerances.solution_grad:
-        fired.append("at_solution")
-    if gram_max < tolerances.gram_floor:
-        fired.append("degenerate_gram")
-    if (
-        not fired
-        and kernel_residual is not None
-        and kernel_residual < tolerances.kernel_residual
-    ):
-        fired.append("orthogonal_kernel")
-    if not fired:
-        case = "none"
-    elif len(fired) == 1:
-        case = fired[0]
-    else:
-        case = "mixed"
-    return CriticalPointReport(
-        case, param_grad_norm, field_grad_norm, gram_max, kernel_residual
-    )
+    if param_grad_norm < tolerances.critical_grad:
+        if field_grad_norm < tolerances.solution_grad:
+            fired.append("at_solution")
+        if gram_max < tolerances.gram_floor:
+            fired.append("degenerate_gram")
+        orthogonal = kernel_residual is not None and kernel_residual < tolerances.kernel_residual
+        if not fired and orthogonal:
+            fired.append("orthogonal_kernel")
+    case = "none" if not fired else fired[0] if len(fired) == 1 else "mixed"
+    return CriticalPointReport(case, param_grad_norm, field_grad_norm, gram_max, kernel_residual)
 
 
 @dataclass(frozen=True)

@@ -284,36 +284,24 @@ def _diagnostics_from_gram(gram: np.ndarray) -> KernelDiagnostics:
     return KernelDiagnostics(gram, eigs, float(active[0]), int(active.size), tol)
 
 
-def gram_from_jacobian(
-    jac: np.ndarray, basis: Basis, metric: SobolevOrder
-) -> np.ndarray:
-    w = spaces._metric_weights(basis, metric)
-    return (jac * w) @ jac.T
-
-
 def tangent_gram(
-    a: ArchitectureSpec, w: ParamVector, metric: SobolevOrder = SobolevOrder.L2
+    jac: np.ndarray, basis: Basis, metric: SobolevOrder = SobolevOrder.L2
 ) -> KernelDiagnostics:
-    """Gram matrix of the Jacobian rows under ``metric`` plus its spectrum."""
-    _, jac = model_and_jacobian(a, w)
-    gram = gram_from_jacobian(jac, a.target_basis, metric)
-    gram = 0.5 * (gram + gram.T)
-    return _diagnostics_from_gram(gram)
+    """Gram matrix of the (M, n) Jacobian rows under ``metric`` plus its
+    spectrum."""
+    gram = (jac * spaces._metric_weights(basis, metric)) @ jac.T
+    return _diagnostics_from_gram(0.5 * (gram + gram.T))
 
 
 def kernel_apply(
-    a: ArchitectureSpec,
-    w: ParamVector,
-    g: Field,
-    metric: SobolevOrder = SobolevOrder.L2,
+    jac: np.ndarray, g: Field, metric: SobolevOrder = SobolevOrder.L2
 ) -> Field:
-    """Apply the rank-<=M tangent kernel: sum_k <J_k, g> J_k."""
-    if g.basis != a.target_basis:
-        raise ShapeError("field is not on the architecture's target basis")
-    _, jac = model_and_jacobian(a, w)
-    mw = spaces._metric_weights(a.target_basis, metric)
-    pairings = (jac * mw) @ g.coeffs
-    return Field(pairings @ jac, a.target_basis)
+    """Apply the rank-<=M tangent kernel of the (M, n) Jacobian rows:
+    sum_k <J_k, g> J_k."""
+    if jac.shape[1] != g.basis.size:
+        raise ShapeError("field is not on the Jacobian's target basis")
+    pairings = (jac * spaces._metric_weights(g.basis, metric)) @ g.coeffs
+    return Field(pairings @ jac, g.basis)
 
 
 @dataclass(frozen=True)
@@ -368,8 +356,8 @@ def spectral_consistency(
         raise UnsupportedOperationError(
             f"dense operator assembly capped at {MAX_DENSE_SIZE}, basis has {basis.size}"
         )
-    diag = tangent_gram(a, w, metric)
     _, jac = model_and_jacobian(a, w)
+    diag = tangent_gram(jac, basis, metric)
     mw = spaces._metric_weights(basis, metric)
     scaled = jac * np.sqrt(mw)  # (M, n)
     operator = scaled.T @ scaled  # (n, n), similar to the kernel operator

@@ -97,13 +97,11 @@ def _write_analysis_csv(path, rows):
     traceio.write_csv(path, header, rows)
 
 
-def _analysis_row(run_id, cfg, trace, problem=None, arch=None):
+def _analysis_row(run_id, settings, trace, problem=None, arch=None):
     """One analysis-report row per run; blank cells where not requested."""
     row = [run_id] + [""] * 11
-    if not cfg.has("analysis"):
-        return row
-    target = cfg.get_float("analysis", "loss_target", None)
-    if cfg.get_bool("analysis", "lojasiewicz"):
+    target = settings.loss_target
+    if settings.lojasiewicz:
         est = an.estimate_lojasiewicz(trace, target)
         if est is not None:
             row[1], row[2], row[3], row[4] = (
@@ -111,11 +109,10 @@ def _analysis_row(run_id, cfg, trace, problem=None, arch=None):
             )
         else:
             row[1] = "inconclusive"
-    if cfg.get_bool("analysis", "rate"):
-        resolved = target
-        if resolved is None:
-            resolved, _ = an.default_loss_target(trace)
-        rc = an.classify_rate(trace, resolved)
+    if settings.rate:
+        if target is None:
+            target, _ = an.default_loss_target(trace)
+        rc = an.classify_rate(trace, target)
         if rc is not None:
             row[5] = rc.kind
             row[6] = rc.rate if rc.rate is not None else ""
@@ -123,21 +120,11 @@ def _analysis_row(run_id, cfg, trace, problem=None, arch=None):
             row[8] = rc.predicted_alpha
         else:
             row[5] = "inconclusive"
-    if (
-        cfg.get_bool("analysis", "critical_point")
-        and problem is not None
-        and arch is not None
-        and trace.params is not None
-    ):
-        report = an.classify_critical_point(
-            problem, arch, trace.terminal_state
-        )
-        row[9] = report.case
-    if cfg.get_bool("analysis", "kernel_decay") and trace.params is not None:
-        alpha = cfg.get_float("analysis", "alpha", 0.5)
-        fit = an.fit_kernel_decay(
-            trace, trace.terminal_state, alpha
-        )
+    # arch is set only for a parametric or annealed run, which has a problem
+    if settings.critical_point and arch is not None and trace.params is not None:
+        row[9] = an.classify_critical_point(problem, arch, trace.terminal_state).case
+    if settings.kernel_decay and trace.params is not None:
+        fit = an.fit_kernel_decay(trace, trace.terminal_state, settings.alpha)
         row[10] = fit.r_hat
         row[11] = fit.predicted_alpha_star
     return row
@@ -167,6 +154,7 @@ def _run_single(config_path, args) -> int:
     problem = config_mod.build_problem(cfg)
     flow_kind = cfg.get("flow", "kind", "parametric")
     flow_cfg = config_mod.build_flow_config(cfg, args.seed)
+    analysis = config_mod.build_analysis(cfg)
     out = _resolve_out_dir(args, cfg)
     arch = None
     if flow_kind == "nominal":
@@ -194,7 +182,7 @@ def _run_single(config_path, args) -> int:
         files.append(field_path.name)
     if cfg.has("analysis"):
         csv_path = out / f"{stem}_analysis.csv"
-        _write_analysis_csv(csv_path, [_analysis_row(stem, cfg, trace, problem, arch)])
+        _write_analysis_csv(csv_path, [_analysis_row(stem, analysis, trace, problem, arch)])
         files.append(csv_path.name)
     _finish(out, stem, cfg, started, files)
     print(
@@ -284,10 +272,9 @@ def cmd_spectrum(args) -> int:
     rows = []
     for i, values in enumerate(sets):
         w = arch_mod.ParamVector(values)
-        diag = arch_mod.tangent_gram(arch, w, metric)
-        consistent = ""
-        mismatch = ""
-        floor = ""
+        _, jac = arch_mod.model_and_jacobian(arch, w)
+        diag = arch_mod.tangent_gram(jac, arch.target_basis, metric)
+        consistent = mismatch = floor = ""
         if arch.target_basis.size <= arch_mod.MAX_DENSE_SIZE:
             rep = arch_mod.spectral_consistency(arch, w, metric)
             consistent = "pass" if rep.passed else "fail"
@@ -337,16 +324,12 @@ def cmd_coverage_demo(args) -> int:
     started = _now()
     config_path = args.config[0]
     cfg = config_mod.load_config(config_path)
+    settings = config_mod.build_coverage(cfg, args.seed)
     out = _resolve_out_dir(args, cfg)
-    count = cfg.get_int("coverage", "count", 100)
-    seed = cfg.get_seed("coverage", "seed", args.seed)
-    box = cfg.get_float("coverage", "box", 100.0)
-    step = cfg.get_float("coverage", "grid_step", 1e-3)
-    gmax = cfg.get_float("coverage", "grid_max", 150.0)
 
-    rng = np.random.default_rng(seed)
-    targets = rng.uniform(-box, box, size=(count, 2))
-    rows = coverage_distances(targets, gmax, step)
+    rng = np.random.default_rng(settings.seed)
+    targets = rng.uniform(-settings.box, settings.box, size=(settings.count, 2))
+    rows = coverage_distances(targets, settings.grid_max, settings.grid_step)
     d_line_med = float(np.median([r[2] for r in rows]))
     d_spiral_med = float(np.median([r[3] for r in rows]))
 
@@ -372,11 +355,12 @@ def cmd_coverage_demo(args) -> int:
 def cmd_analyze(args) -> int:
     started = _now()
     cfg = config_mod.load_config(args.config[0])
+    analysis = config_mod.build_analysis(cfg)
     out = _resolve_out_dir(args, cfg)
     trace = traceio.read_trace(args.trace)
     stem = Path(args.trace).stem
     csv_path = out / f"{stem}_analysis.csv"
-    _write_analysis_csv(csv_path, [_analysis_row(stem, cfg, trace)])
+    _write_analysis_csv(csv_path, [_analysis_row(stem, analysis, trace)])
     _finish(out, stem, cfg, started, [csv_path.name])
     print(f"{stem}: analysis written")
     return EXIT_OK

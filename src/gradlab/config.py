@@ -6,6 +6,7 @@ error messages name the offending ``section.key``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -15,11 +16,44 @@ from . import problems as prob_mod
 from . import spaces
 from .architectures import ArchitectureSpec, ParamVector
 from .errors import ConfigurationError
-from .flows import FlowConfig
+from .flows import FlowConfig, _check_fields
 from .growth import GrowthSchedule
 from .spaces import Domain, Field, SobolevOrder
 
 _METRICS = {"l2": SobolevOrder.L2, "w12": SobolevOrder.W12, "w22": SobolevOrder.W22}
+
+
+@dataclass(frozen=True)
+class AnalysisSettings:
+    """The fits ``[analysis]`` asks for; with no ``loss_target`` each picks its own."""
+
+    lojasiewicz: bool = False
+    rate: bool = False
+    critical_point: bool = False
+    kernel_decay: bool = False
+    loss_target: float | None = None
+    alpha: float = 0.5
+
+    def __post_init__(self):
+        _check_fields(self, {})
+
+
+@dataclass(frozen=True)
+class CoverageSettings:
+    """``count`` seeded targets uniform on [-box, box]^2, against parameter
+    grids of spacing ``grid_step`` on [-grid_max, grid_max]."""
+
+    count: int = 100
+    seed: int = 0
+    box: float = 100.0
+    grid_step: float = 1e-3
+    grid_max: float = 150.0
+
+    def __post_init__(self):
+        _check_fields(self, {
+            "> 0": ("box", "grid_step", "grid_max"), ">= 0": ("seed",), ">= 1": ("count",),
+        })
+
 
 _SCHEMA = {
     "problem": {
@@ -29,13 +63,10 @@ _SCHEMA = {
         "kind", "a", "modes", "w0", "init", "init_scale", "init_seed",
     },
     "flow": {"kind", "g0", *(f.name for f in fields(FlowConfig))},
-    "analysis": {
-        "lojasiewicz", "rate", "critical_point", "kernel_decay",
-        "loss_target", "alpha",
-    },
+    "analysis": {f.name for f in fields(AnalysisSettings)},
     "growth": {f.name for f in fields(GrowthSchedule)},
     "spectrum": {"count", "seed", "sweep", "w", "metric"},
-    "coverage": {"count", "seed", "box", "grid_step", "grid_max"},
+    "coverage": {f.name for f in fields(CoverageSettings)},
     "output": {"dir"},
 }
 
@@ -245,24 +276,34 @@ _READERS = {
 }
 
 
-def _settings(cfg: ExperimentConfig, section: str, cls, **override):
+def _settings(cfg: ExperimentConfig, section: str, cls, seed_override: int | None = None):
     """``cls`` built from the keys of ``[section]`` that are present, each
-    parsed by its field's annotation; ``override`` wins over the file."""
+    parsed by its field's annotation; ``seed_override`` (a ``--seed``) wins
+    over the file's ``seed``."""
     kwargs = {
         f.name: _READERS[f.type](cfg, section, f.name)
         for f in fields(cls)
         if cfg.has(section, f.name)
     }
-    return _in_section(section, cls, **{**kwargs, **override})
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
+    return _in_section(section, cls, **kwargs)
 
 
 def build_flow_config(cfg: ExperimentConfig, seed_override: int | None = None) -> FlowConfig:
-    override = {} if seed_override is None else {"seed": seed_override}
-    return _settings(cfg, "flow", FlowConfig, **override)
+    return _settings(cfg, "flow", FlowConfig, seed_override)
 
 
 def build_growth_schedule(cfg: ExperimentConfig) -> GrowthSchedule:
     return _settings(cfg, "growth", GrowthSchedule)
+
+
+def build_analysis(cfg: ExperimentConfig) -> AnalysisSettings:
+    return _settings(cfg, "analysis", AnalysisSettings)
+
+
+def build_coverage(cfg: ExperimentConfig, seed_override: int | None = None) -> CoverageSettings:
+    return _settings(cfg, "coverage", CoverageSettings, seed_override)
 
 
 def initial_field(cfg: ExperimentConfig, basis) -> Field:
@@ -286,12 +327,16 @@ def build_spectrum(cfg: ExperimentConfig, arch: ArchitectureSpec, seed_override=
             raise ConfigurationError("spectrum.sweep: only for 1-parameter families")
         try:
             lo, hi, num = sweep.split(":")
-            grid = np.linspace(float(lo), float(hi), int(num))
+            lo, hi, num = float(lo), float(hi), int(num)
         except ValueError:
+            raise ConfigurationError("spectrum.sweep: expected 'start:stop:count'") from None
+        if not (math.isfinite(lo) and math.isfinite(hi) and num >= 1):
             raise ConfigurationError(
-                "spectrum.sweep: expected 'start:stop:count'"
-            ) from None
-        return metric, [np.array([w]) for w in grid]
+                f"spectrum.sweep needs finite bounds and a count >= 1, got '{sweep}'"
+            )
+        return metric, [np.array([w]) for w in np.linspace(lo, hi, num)]
     count = cfg.get_int("spectrum", "count", 5)
+    if count < 1:
+        raise ConfigurationError(f"spectrum.count must be >= 1, got {count}")
     rng = np.random.default_rng(cfg.get_seed("spectrum", "seed", seed_override))
     return metric, [rng.uniform(-3.0, 3.0, size=m) for _ in range(count)]

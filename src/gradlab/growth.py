@@ -29,7 +29,7 @@ from .architectures import ArchitectureSpec, ParamVector
 from .errors import ConfigurationError, ExpansionRejectedError
 from .flows import FlowConfig, FlowTrace
 from .problems import Problem
-from .spaces import SobolevOrder
+from .spaces import Field, SobolevOrder
 
 MODEL_DRIFT_TOL = 1e-12
 FREQUENCY_SEPARATION = 0.1
@@ -178,13 +178,15 @@ def expand(
 
     w_next = ParamVector(w_next_values, level=w_star.level + 1)
 
-    before = arch_mod.evaluate(a, w_star)
-    after = arch_mod.evaluate(a_next, w_next)
+    model_before, jac_before = arch_mod.model_and_jacobian(a, w_star)
+    model_after, jac_after = arch_mod.model_and_jacobian(a_next, w_next)
+    before = Field(model_before, a.target_basis)
+    after = Field(model_after, a.target_basis)
     drift = spaces.norm(after - before, SobolevOrder.L2) / max(
         1.0, spaces.norm(before, SobolevOrder.L2)
     )
-    diag_before = arch_mod.tangent_gram(a, w_star, metric)
-    diag_after = arch_mod.tangent_gram(a_next, w_next, metric)
+    diag_before = arch_mod.tangent_gram(jac_before, a.target_basis, metric)
+    diag_after = arch_mod.tangent_gram(jac_after, a.target_basis, metric)
     if diag_after.numerical_rank <= diag_before.numerical_rank:
         offender = a.n_params + 1  # first appended parameter (1-based)
         raise ExpansionRejectedError(

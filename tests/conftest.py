@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gradlab import architectures as ar
 from gradlab import spaces as sp
 
 
@@ -66,3 +67,15 @@ def smooth_random_field(basis: sp.Basis, rng, scale: float = 0.5) -> sp.Field:
     differences are not destroyed by cancellation."""
     decay = (1.0 + np.abs(basis.eigenvalues)) ** -2
     return sp.Field(scale * rng.standard_normal(basis.size) * decay, basis)
+
+
+def gram_at(arch, w, metric=sp.SobolevOrder.L2) -> ar.KernelDiagnostics:
+    """``tangent_gram`` of the Jacobian of ``arch`` at ``w``."""
+    _, jac = ar.model_and_jacobian(arch, w)
+    return ar.tangent_gram(jac, arch.target_basis, metric)
+
+
+def kernel_at(arch, w, g, metric=sp.SobolevOrder.L2) -> sp.Field:
+    """``kernel_apply`` of the Jacobian of ``arch`` at ``w`` to ``g``."""
+    _, jac = ar.model_and_jacobian(arch, w)
+    return ar.kernel_apply(jac, g, metric)

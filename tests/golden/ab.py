@@ -7,8 +7,9 @@ checkout's ``src``.  The trees are imported as the packages
 ``gradlab_parent`` and ``gradlab_change``, and the script prints:
 
 * for the quadratic, NPBE and custom problems, whether
-  ``ParametricObjective.value_and_grad`` and ``nominal_loss`` return the
-  same values on seeded states;
+  ``ParametricObjective.value_and_grad``, ``ParametricObjective.sample``
+  (loss, gradient norm, kernel floor, model error, clamp flag, parameters)
+  and ``nominal_loss`` return the same values on seeded states;
 * whether ``nominal_loss`` and ``compiled_loss`` of a 3-D n=9 NPBE problem
   return the same values on the state sequence A, B, A, A, C (C clamps),
   which repeats a state right after itself and after another;
@@ -117,16 +118,22 @@ def compare_objectives(mods) -> list[str]:
     lines = []
     for i, (label, _, arch) in enumerate(built[0]):
         states = curve_weights if arch.kind == "curve" else weights
-        got = []
+        got, sampled = [], []
         for mod, problems in zip(mods, built):
             _, p, a = problems[i]
             obj = mod("flows").ParametricObjective(p, a)
-            flat = []
+            flat, rows = [], []
             for w in states:
                 loss, grad, clamped = obj.value_and_grad(w)
                 flat += [loss, *grad, clamped]
+                loss, grad_norm, extras = obj.sample(w)
+                error = extras["model_error"]
+                rows += [loss, grad_norm, extras["mu"], np.nan if error is None else error]
+                rows += [extras["clamped"], *extras["params"]]
             got.append(flat)
+            sampled.append(rows)
         lines.append(f"objective {label}: value_and_grad {gap(*got)}")
+        lines.append(f"objective {label}: sample {gap(*sampled)}")
         if arch.kind == "curve":
             continue  # the seeded fields live on the 24-mode line
         got = []

@@ -16,7 +16,7 @@ from gradlab import problems as pr
 from gradlab import spaces as sp
 from gradlab import traceio
 
-from conftest import smooth_random_field
+from conftest import gram_at, smooth_random_field
 from test_architectures import banded_sinusoid_params
 from test_flows import double_well_fixture
 
@@ -166,7 +166,7 @@ def test_criterion_4_growth_loop(basis_128):
     )
     gtrace = gr.run_growth_loop(problem, arch, w0, sched, cfg)
     rank_tols = [
-        ar.tangent_gram(
+        gram_at(
             ar.sinusoid_architecture(basis_128, (e.w_after.size - 1) // 2),
             e.w_after,
         ).rank_tolerance

@@ -7,6 +7,8 @@ from gradlab import flows as fl
 from gradlab import problems as pr
 from gradlab import spaces as sp
 
+from conftest import gram_at
+
 
 @pytest.fixture(scope="module")
 def power_flow(basis_64):
@@ -129,7 +131,7 @@ class TestClassifyCriticalPoint:
         # orthogonal to the constant the gradient sits in the kernel
         arch = ar.sinusoid_architecture(basis_64, 1)
         w0 = ar.ParamVector(np.zeros(3))
-        diag = ar.tangent_gram(arch, w0)
+        diag = gram_at(arch, w0)
         assert diag.gram[0, 0] == pytest.approx(2 * np.pi, rel=1e-2)  # not degenerate
         phi_orth = sp.field_from_modes(basis_64, [(2, 0.7)])  # <1, sin 2x> = 0
         p = pr.quadratic_problem(basis_64, phi_orth)
@@ -249,7 +251,7 @@ class TestKernelDecayFit:
         # oracle: recompute the kernel floor directly along the path
         idx = np.linspace(0, trace.n_samples - 1, 20).astype(int)
         for i in idx:
-            diag = ar.tangent_gram(arch, ar.ParamVector(trace.params[i]))
+            diag = gram_at(arch, ar.ParamVector(trace.params[i]))
             assert diag.min_nonzero_eig == pytest.approx(
                 trace.min_nonzero_eig[i], rel=1e-9, abs=1e-12
             )

@@ -5,7 +5,7 @@ from gradlab import architectures as ar
 from gradlab import spaces as sp
 from gradlab.errors import ShapeError, UnsupportedOperationError
 
-from conftest import gauss_project, panel_gauss, quad_inner, reconstruct
+from conftest import gauss_project, gram_at, kernel_at, panel_gauss, quad_inner, reconstruct
 
 
 def banded_sinusoid_params(rng, pairs):
@@ -138,7 +138,7 @@ class TestTangentGram:
     def test_sinusoid_unit_frequency_zero_amplitude(self, basis_256):
         arch = ar.sinusoid_architecture(basis_256, 1)
         w = ar.ParamVector(np.array([0.0, 1.0, 0.0]))
-        diag = ar.tangent_gram(arch, w, sp.SobolevOrder.L2)
+        diag = gram_at(arch, w, sp.SobolevOrder.L2)
         # analytic: <1,1> = 2 pi (up to constant-projection truncation),
         # frequency row dead, <sin x, sin x> = pi exactly
         assert diag.gram[0, 0] == pytest.approx(2 * np.pi, rel=2e-3)
@@ -159,14 +159,14 @@ class TestTangentGram:
     def test_spiral_gram_is_one_plus_w_squared(self):
         arch = ar.spiral_architecture()
         for t in (0.0, 0.7, 2.5, -3.1):
-            diag = ar.tangent_gram(arch, ar.ParamVector(np.array([t])))
+            diag = gram_at(arch, ar.ParamVector(np.array([t])))
             assert diag.gram[0, 0] == pytest.approx(1.0 + t * t, rel=1e-12)
             assert diag.min_nonzero_eig == pytest.approx(1.0 + t * t, rel=1e-12)
 
     def test_affine_gram_constant_in_w(self, affine3):
         rng = np.random.default_rng(12)
         grams = [
-            ar.tangent_gram(affine3, ar.ParamVector(rng.standard_normal(3))).gram
+            gram_at(affine3, ar.ParamVector(rng.standard_normal(3))).gram
             for _ in range(10)
         ]
         for g in grams[1:]:
@@ -176,14 +176,14 @@ class TestTangentGram:
         rng = np.random.default_rng(13)
         for _ in range(25):
             w = ar.ParamVector(rng.uniform(-5, 5, size=5))
-            diag = ar.tangent_gram(sin2, w)
+            diag = gram_at(sin2, w)
             lam_max = diag.eigenvalues[-1]
             assert diag.eigenvalues[0] >= -1e-10 * max(lam_max, 1.0)
 
     def test_degenerate_flag_at_zero_jacobian(self, basis_64):
         b = sp.field_from_modes(basis_64, [(1, 1.0)])
         arch = ar.monomial_architecture(2, b)  # jacobian 2 w b vanishes at 0
-        diag = ar.tangent_gram(arch, ar.ParamVector(np.array([0.0])))
+        diag = gram_at(arch, ar.ParamVector(np.array([0.0])))
         assert diag.degenerate
         assert diag.min_nonzero_eig == 0.0
         assert diag.numerical_rank == 0
@@ -192,13 +192,13 @@ class TestTangentGram:
         b = sp.field_from_modes(basis_64, [(1, 1.0)])
         b = b * (1.0 / sp.norm(b))
         arch = ar.monomial_architecture(2, b)
-        diag = ar.tangent_gram(arch, ar.ParamVector(np.array([0.7])))
+        diag = gram_at(arch, ar.ParamVector(np.array([0.7])))
         assert diag.gram[0, 0] == pytest.approx(4 * 0.7**2, rel=1e-12)
 
     def test_full_rank_at_lebesgue_random_draws(self, sin2):
         rng = np.random.default_rng(123)
         full = sum(
-            ar.tangent_gram(
+            gram_at(
                 sin2, ar.ParamVector(banded_sinusoid_params(rng, 2))
             ).numerical_rank
             == 5
@@ -221,14 +221,14 @@ class TestKernelApply:
         gram = (jac * weights) @ jac.T
         coef = np.linalg.lstsq(gram, (jac * weights) @ g.coeffs, rcond=None)[0]
         g_perp = sp.Field(g.coeffs - jac.T @ coef, basis_64)
-        out = ar.kernel_apply(arch, w, g_perp)
+        out = kernel_at(arch, w, g_perp)
         assert sp.norm(out) <= 1e-12 * max(sp.norm(g_perp), 1.0)
 
     def test_gram_diagonal_on_orthogonal_family(self, affine3):
         w = ar.ParamVector(np.zeros(3))
         rows = ar.jacobian(affine3, w)
-        diag = ar.tangent_gram(affine3, w)
-        out = ar.kernel_apply(affine3, w, rows[1])
+        diag = gram_at(affine3, w)
+        out = kernel_at(affine3, w, rows[1])
         assert np.allclose(out.coeffs, diag.gram[1, 1] * rows[1].coeffs, atol=1e-12)
 
     def test_linear_in_input(self, sin2):
@@ -237,10 +237,15 @@ class TestKernelApply:
         g = sp.Field(rng.standard_normal(256), sin2.target_basis)
         h = sp.Field(rng.standard_normal(256), sin2.target_basis)
         a, b = 0.7, -1.3
-        lhs = ar.kernel_apply(sin2, w, a * g + b * h)
-        rhs = a * ar.kernel_apply(sin2, w, g) + b * ar.kernel_apply(sin2, w, h)
+        lhs = kernel_at(sin2, w, a * g + b * h)
+        rhs = a * kernel_at(sin2, w, g) + b * kernel_at(sin2, w, h)
         scale = max(sp.norm(lhs), 1e-12)
         assert sp.norm(lhs - rhs) / scale <= 1e-12
+
+    def test_field_on_another_basis_is_refused(self, sin2, basis_64):
+        _, jac = ar.model_and_jacobian(sin2, ar.ParamVector(np.array([0.5, 1.0, 0.8, 2.0, 0.3])))
+        with pytest.raises(ShapeError):
+            ar.kernel_apply(jac, sp.zero_field(basis_64))
 
 
 # draws 0 and 1 of default_rng(3).uniform(-3, 3, size=5), the parameter sets
@@ -261,8 +266,8 @@ def _gram_with_eigenvalue_scaled(index, factor):
     """A ``tangent_gram`` stand-in whose Gram matrix has eigenvalue
     ``index`` (ascending order) multiplied by ``factor``."""
 
-    def tangent_gram(a, w, metric=sp.SobolevOrder.L2):
-        eigs, vecs = np.linalg.eigh(_TANGENT_GRAM(a, w, metric).gram)
+    def tangent_gram(jac, basis, metric=sp.SobolevOrder.L2):
+        eigs, vecs = np.linalg.eigh(_TANGENT_GRAM(jac, basis, metric).gram)
         eigs[index] *= factor
         gram = (vecs * eigs) @ vecs.T
         return ar._diagnostics_from_gram(0.5 * (gram + gram.T))

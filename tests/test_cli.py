@@ -9,6 +9,7 @@ import pytest
 
 from gradlab import cli
 from gradlab import traceio
+from gradlab.config import AnalysisSettings, CoverageSettings
 from gradlab.errors import DivergenceError
 from gradlab.flows import FlowConfig
 from gradlab.growth import GrowthSchedule
@@ -637,8 +638,9 @@ class TestFailures:
         assert len(capsys.readouterr().err.splitlines()) == (code == cli.EXIT_CONFIG)
 
 
-# every [flow] and [growth] key with values that must be refused: NaN,
-# infinity, negative, 0 where > 0 is required, a non-integer for an integer
+# every [flow], [growth], [coverage] and [analysis] key, and the [spectrum]
+# counts, with values that must be refused: NaN, infinity, negative, 0 where
+# > 0 is required, a non-integer for an integer
 POSITIVE = ["nan", "inf", "-1", "0"]
 NON_NEGATIVE = ["nan", "inf", "-1e-3"]
 AT_LEAST_ONE = ["-3", "0", "2.5"]
@@ -662,6 +664,17 @@ INVALID_SETTINGS = {
         "frequency_seed": SEED,
         "forced_frequencies": ["nan", "2, inf", "two"],
     },
+    "coverage": {
+        "count": AT_LEAST_ONE,
+        "seed": SEED,
+        **dict.fromkeys(["box", "grid_step", "grid_max"], POSITIVE),
+    },
+    "analysis": {
+        **dict.fromkeys(["lojasiewicz", "rate", "critical_point", "kernel_decay"], ["maybe"]),
+        "loss_target": ["nan", "inf"],
+        "alpha": ["nan", "-inf"],
+    },
+    "spectrum": {"count": ["-2", "0"], "sweep": ["0:1:0", "0:1:-1", "0:nan:3", "-inf:1:3"]},
 }
 
 SETTINGS_BASE = """
@@ -682,9 +695,21 @@ kind = parametric
 """
 
 
+# the command that reads each section, and a config that it runs
+SETTINGS_RUNS = {
+    "flow": ("grow", SETTINGS_BASE),
+    "growth": ("grow", SETTINGS_BASE),
+    "coverage": ("coverage-demo", "[coverage]\n"),
+    "analysis": ("run", SETTINGS_BASE + "\n[analysis]\n"),
+    "spectrum": ("spectrum", "[architecture]\nkind = spiral\n\n[spectrum]\n"),
+}
+
+
 def test_invalid_settings_cover_every_field():
     assert set(INVALID_SETTINGS["flow"]) == {f.name for f in fields(FlowConfig)}
     assert set(INVALID_SETTINGS["growth"]) == {f.name for f in fields(GrowthSchedule)}
+    assert set(INVALID_SETTINGS["coverage"]) == {f.name for f in fields(CoverageSettings)}
+    assert set(INVALID_SETTINGS["analysis"]) == {f.name for f in fields(AnalysisSettings)}
 
 
 @pytest.mark.parametrize(
@@ -692,9 +717,10 @@ def test_invalid_settings_cover_every_field():
     [(s, k, v) for s, keys in INVALID_SETTINGS.items() for k, values in keys.items() for v in values],
 )
 def test_invalid_setting_is_one_named_line(section, key, value, tmp_path, capsys):
-    text = SETTINGS_BASE.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    command, base = SETTINGS_RUNS[section]
+    text = base.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
     cfg = write_config(tmp_path, text)
-    assert cli.main(["grow", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
     assert err.startswith(f"config error: {section}.{key}"), err

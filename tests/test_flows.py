@@ -15,6 +15,8 @@ from gradlab import spaces as sp
 from gradlab import traceio
 from gradlab.errors import ConfigurationError, DivergenceError
 
+from conftest import gram_at, kernel_at
+
 
 @pytest.fixture(scope="module")
 def quad_problem(basis_128):
@@ -89,7 +91,7 @@ class TestParametric:
         phi = sp.Field(1.3 * f1.coeffs - 0.4 * f2.coeffs, basis_128)
         p = pr.quadratic_problem(basis_128, phi)
         w0 = ar.ParamVector(np.array([0.0, 0.0]))
-        diag = ar.tangent_gram(arch, w0, sp.SobolevOrder.L2)
+        diag = gram_at(arch, w0, sp.SobolevOrder.L2)
         mu_min = diag.min_nonzero_eig
         cfg = fl.FlowConfig(t_end=3.0, record_every=0.01)
         trace = fl.integrate_parametric(p, arch, w0, cfg)
@@ -164,7 +166,7 @@ class TestParametric:
                 ar.evaluate(arch, w_next) - ar.evaluate(arch, w_prev)
             ) * (1.0 / (2 * dt))
             ev = pr.nominal_loss(p, ar.evaluate(arch, w_mid))
-            expected = -1.0 * ar.kernel_apply(arch, w_mid, ev.gradient)
+            expected = -1.0 * kernel_at(arch, w_mid, ev.gradient)
             scale = sp.norm(expected)
             assert sp.norm(dn - expected) / scale <= 1e-3
 
@@ -240,6 +242,80 @@ class TestScalarClosureMatchesKernel:
         eps = np.finfo(float).eps
         assert abs(loss_f - loss_r) <= 32 * eps * np.dot(terms, terms)
         assert abs(grad_f[0] - grad_r[0]) <= 32 * eps * np.dot(terms, dterms)
+
+
+def _sample_cases():
+    """(problem, architecture) pairs for the sample reference: sinusoid,
+    affine and curve families on quadratic and NPBE problems, the curve on a
+    Euclidean quadratic taking the scalar closure."""
+    line = sp.make_space(sp.Domain(1), 16)
+    phi = sp.field_from_modes(line, [(1, 0.6), (2, 0.25)])
+    plane = sp.make_euclidean(2)
+    e1, e2 = (sp.Field(v, plane) for v in np.eye(2))
+    b1, b2 = (sp.field_from_modes(line, [(k, 1.0)]) for k in (1, 3))
+    problems = [
+        pr.quadratic_problem(line, phi, sp.SobolevOrder.W12),
+        pr.npbe_problem(line, phi, sp.SobolevOrder.W22),
+    ]
+    archs = [
+        ar.sinusoid_architecture(line, 2),
+        ar.affine_architecture([b1, b2, phi]),
+        ar.curve_architecture([([0.0, 0.3, 1.0], b1), ([0.5, 0.0, 0.0, -0.2], b2)]),
+    ]
+    well = ar.curve_architecture([([0.0, 0.0, 1.0], e1), ([0.0, 0.5], e2)])
+    cases = [(p, a) for p in problems for a in archs]
+    return cases + [(pr.quadratic_problem(plane, sp.Field([1.0, 0.9], plane)), well)]
+
+
+_SAMPLE_CASES = _sample_cases()
+
+
+def _reference_sample(p, arch, values):
+    """A recorded sample as three separate model evaluations compute it:
+    one inside ``value_and_grad``, one for the Gram matrix of the Jacobian
+    rows under the problem metric, one for the L2 model error."""
+    obj = fl.ParametricObjective(p, arch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grad, clamped = obj.value_and_grad(values)
+        _, jac = ar.compile_model_jac(arch)(values)
+        gram = (jac * sp._metric_weights(p.basis, p.gradient_metric)) @ jac.T
+        mu = ar._diagnostics_from_gram(0.5 * (gram + gram.T)).min_nonzero_eig
+        model, _ = ar.compile_model_jac(arch)(values)
+        d = model - p.known_solution.coeffs
+        error = float(np.sqrt(np.dot(sp._metric_weights(p.basis, sp.SobolevOrder.L2) * d, d)))
+    return loss, float(np.linalg.norm(grad)), mu, error, clamped
+
+
+class TestSampleMatchesReference:
+    """``ParametricObjective.sample`` evaluates the model once for its
+    diagnostics and still equals the three-evaluation reference bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=st.integers(0, len(_SAMPLE_CASES) - 1),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 3.0),
+    )
+    def test_sample_equals_reference(self, case, seed, scale):
+        p, arch = _SAMPLE_CASES[case]
+        values = scale * np.random.default_rng(seed).standard_normal(arch.n_params)
+        loss, grad_norm, extras = fl.ParametricObjective(p, arch).sample(values)
+        got = (loss, grad_norm, extras["mu"], extras["model_error"])
+        want = _reference_sample(p, arch, values)
+        bits = lambda xs: np.array(xs, dtype=np.float64).view(np.uint64).tolist()  # noqa: E731
+        assert bits(got) == bits(want[:4])
+        assert extras["clamped"] == want[4]
+        assert extras["params"] is values
+
+    def test_cases_cover_both_objective_paths(self):
+        pairs = {(p.loss_kind, a.kind) for p, a in _SAMPLE_CASES}
+        assert pairs == {
+            (loss, kind)
+            for loss in ("quadratic-distance", "half-residual-norm")
+            for kind in ("sinusoid", "affine", "curve")
+        }
+        scalar = [fl.ParametricObjective(p, a)._scalar is not None for p, a in _SAMPLE_CASES]
+        assert scalar == [False] * 6 + [True]
 
 
 class TestAnnealed:
@@ -514,6 +590,41 @@ class TestWorkCounters:
         # every accepted step costs at least one right-hand side
         assert c["rhs_evals"] >= c["steps"]
         assert c["jac_evals"] >= 0
+
+    def test_one_compile_and_two_evaluations_per_sample(self, monkeypatch):
+        # a recorded sample evaluates the model once inside value_and_grad
+        # and once for its kernel floor and model error
+        basis = sp.make_space(sp.Domain(1), 32)
+        phi = sp.field_from_modes(basis, [(1, 0.6), (2, 0.25)])
+        p = pr.npbe_problem(basis, phi, sp.SobolevOrder.W22)
+        arch = ar.sinusoid_architecture(basis, 1)
+        compiles, evals, objective_calls = [], [], []
+        compile_model_jac = ar.compile_model_jac
+        value_and_grad = fl.ParametricObjective.value_and_grad
+
+        def counted_compile(a):
+            compiles.append(a)
+            rows = compile_model_jac(a)
+
+            def counted_rows(values):
+                evals.append(values)
+                return rows(values)
+
+            return counted_rows
+
+        def counted_objective(self, values):
+            objective_calls.append(values)
+            return value_and_grad(self, values)
+
+        monkeypatch.setattr(ar, "compile_model_jac", counted_compile)
+        monkeypatch.setattr(fl.ParametricObjective, "value_and_grad", counted_objective)
+        w0 = ar.ParamVector(np.array([0.1, 1.2, 0.4]))
+        trace = fl.integrate_parametric(p, arch, w0, fl.FlowConfig(t_end=5.0, record_every=0.1))
+        rhs, samples = trace.counters["rhs_evals"], trace.n_samples
+        assert rhs > 0 and samples > 1
+        assert len(compiles) == 1
+        assert len(objective_calls) == rhs + samples
+        assert len(evals) == rhs + 2 * samples
 
     def test_no_step_taken_at_critical_point(self, quad_problem):
         cfg = fl.FlowConfig(t_end=5.0)

@@ -8,6 +8,8 @@ from gradlab import problems as pr
 from gradlab import spaces as sp
 from gradlab.errors import ExpansionRejectedError
 
+from conftest import gram_at
+
 
 @pytest.fixture(scope="module")
 def three_mode_problem(basis_128):
@@ -39,8 +41,8 @@ class TestExpand:
         # unchanged
         a2 = ar.sinusoid_architecture(basis_128, 2)
         w_dup = ar.ParamVector(np.concatenate([w.values, [1.0, 0.0]]))
-        before = ar.tangent_gram(arch, w)
-        after = ar.tangent_gram(a2, w_dup)
+        before = gram_at(arch, w)
+        after = gram_at(a2, w_dup)
         assert after.numerical_rank == before.numerical_rank
 
     def test_affine_identity_block(self, basis_128):
@@ -48,7 +50,7 @@ class TestExpand:
         arch = ar.affine_architecture(fields)
         w = ar.ParamVector(np.array([0.5, -0.3]))
         a2, w2, event = gr.expand(arch, w, gr.GrowthSchedule(params_per_expansion=2))
-        diag = ar.tangent_gram(a2, w2)
+        diag = gram_at(a2, w2)
         assert np.allclose(diag.gram, np.eye(4), atol=1e-12)
         assert event.model_drift == 0.0
 
