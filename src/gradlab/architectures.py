@@ -117,7 +117,7 @@ def curve_architecture(
     components: list[tuple[list[float], Field]], offset: Field | None = None
 ) -> ArchitectureSpec:
     """One-parameter family offset + sum_j q_j(w) b_j (q_j as ascending
-    polynomial coefficients)."""
+    polynomial coefficients, which must be finite)."""
     if not components:
         raise ConfigurationError("curve architecture needs at least one component")
     basis = components[0][1].basis
@@ -125,7 +125,10 @@ def curve_architecture(
     for poly, b in components:
         if b.basis != basis:
             raise ShapeError("curve component fields live on different bases")
-        comps.append((tuple(float(c) for c in poly), b))
+        coeffs = tuple(float(c) for c in poly)
+        if not np.isfinite(coeffs).all():
+            raise ConfigurationError(f"curve polynomial coefficients must be finite, got {coeffs}")
+        comps.append((coeffs, b))
     if offset is None:
         offset = spaces.zero_field(basis)
     return ArchitectureSpec("curve", basis, (tuple(comps), offset))

@@ -146,6 +146,14 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(raw=raw, path=str(path))
 
 
+def _finite_float(text: str, where: str) -> float:
+    """``float(text)``, which must be finite (a ``ValueError`` is the caller's)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{where} must be finite, got {text.strip()}")
+    return value
+
+
 def _parse_modes(text: str, where: str) -> list[tuple[int, float]]:
     """Parse 'mode:amplitude, mode:amplitude, ...' lists."""
     modes = []
@@ -155,7 +163,7 @@ def _parse_modes(text: str, where: str) -> list[tuple[int, float]]:
             continue
         try:
             mode_text, amp_text = part.split(":")
-            modes.append((int(mode_text), float(amp_text)))
+            modes.append((int(mode_text), _finite_float(amp_text, where)))
         except ValueError:
             raise ConfigurationError(
                 f"{where}: expected 'mode:amplitude' pairs, got '{part}'"
@@ -167,7 +175,7 @@ def _parse_modes(text: str, where: str) -> list[tuple[int, float]]:
 
 def _parse_floats(text: str, where: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        return [_finite_float(p, where) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ConfigurationError(f"{where}: expected comma-separated floats") from None
 

@@ -164,37 +164,40 @@ class FlowTrace:
 def _curve_scalar_closure(arch: ArchitectureSpec, phi: np.ndarray):
     """Loss and derivative of a 1-parameter curve on a tiny Euclidean target
     in Python floats only (a leaked ``np.float64`` slows the Euler-Maruyama
-    loop about 2.7x).  Traces depend on its fixed order: Horner, then
-    ``rk += q_j*b_jk; drk += dq_j*b_jk`` over the components j in order."""
+    loop about 2.7x).
+
+    Traces depend on its exact IEEE operations, in this order: for each
+    component j, Horner from ``q_j = dq_j = 0.0`` over the coefficients c
+    from the highest, ``dq_j = dq_j*w + q_j; q_j = q_j*w + c``; then for
+    each target entry k, ``r_k = (offset - phi)_k`` and ``dr_k = 0.0``,
+    ``r_k += q_j*b_jk; dr_k += dq_j*b_jk`` over j, and ``loss += r_k*r_k;
+    deriv += r_k*dr_k`` from ``0.0``; it returns ``(0.5*loss, deriv)``.
+    The structure never changes during a run, so the function is generated
+    once as straight-line source: an interpreted loop over the structure
+    took 1.9 us a call on the double well, the generated code 0.7 us.  The
+    numbers are ``repr`` literals, which round-trip exactly (``inf`` where
+    ``offset - phi`` overflows), and no term is dropped or simplified, not
+    even ``*1.0``, ``*0.0`` or ``+0.0``: under an infinite ``w`` or a
+    signed zero the last two are not identities."""
     comps, offset = arch.structure
-    polys = [list(poly) for poly, _ in comps]
-    rows = [b.coeffs.tolist() for _, b in comps]
-    off = (offset.coeffs - phi).tolist()
-    size = len(off)
-
-    def value_and_deriv(w: float):
-        qs, dqs = [], []
-        for poly in polys:
-            q = 0.0
-            dq = 0.0
-            for c in reversed(poly):
-                dq = dq * w + q
-                q = q * w + c
-            qs.append(q)
-            dqs.append(dq)
-        loss = 0.0
-        deriv = 0.0
-        for k in range(size):
-            rk = off[k]
-            drk = 0.0
-            for j in range(len(polys)):
-                rk += qs[j] * rows[j][k]
-                drk += dqs[j] * rows[j][k]
-            loss += rk * rk
-            deriv += rk * drk
-        return 0.5 * loss, deriv
-
-    return value_and_deriv
+    lines = ["def value_and_deriv(w):"]
+    for j, (poly, _) in enumerate(comps):
+        lines.append(f"    q{j} = 0.0; dq{j} = 0.0")
+        for c in reversed(poly):
+            lines.append(f"    dq{j} = dq{j} * w + q{j}; q{j} = q{j} * w + {c!r}")
+    lines.append("    loss = 0.0; deriv = 0.0")
+    with np.errstate(over="ignore"):
+        offsets = (offset.coeffs - phi).tolist()
+    for k, off in enumerate(offsets):
+        lines.append(f"    rk = {off!r}; drk = 0.0")
+        for j, (_, b) in enumerate(comps):
+            bjk = float(b.coeffs[k])
+            lines.append(f"    rk += q{j} * {bjk!r}; drk += dq{j} * {bjk!r}")
+        lines.append("    loss += rk * rk; deriv += rk * drk")
+    lines.append("    return 0.5 * loss, deriv")
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec("\n".join(lines), namespace)
+    return namespace["value_and_deriv"]
 
 
 def _l2_distance(coeffs: np.ndarray, phi: np.ndarray | None, l2w: np.ndarray) -> float | None:

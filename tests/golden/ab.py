@@ -14,7 +14,9 @@ checkout's ``src``.  The trees are imported as the packages
   return the same values on the state sequence A, B, A, A, C (C clamps),
   which repeats a state right after itself and after another;
 * whether seeded ``integrate_annealed`` runs on the double well (the
-  scalar-closure path, which no shipped config takes) write the same trace;
+  scalar-closure path, which no shipped config takes) write the same trace:
+  three to t_end 20, and one with the ``anneal_escape`` benchmark's
+  settings (t_end 200, step 1e-3, 200k steps);
 * for every case of ``regenerate.py`` (each shipped config and the 3-D
   n=17 nominal NPBE solve), whether each output of the two trees'
   ``cli.main`` is the same: the exit code, stdout, and every file written.
@@ -171,18 +173,30 @@ def compare_npbe_3d(mods) -> list[str]:
     return [f"{label}: nominal_loss and compiled_loss {gap(*got)}"]
 
 
+# (label, FlowConfig settings): three short runs, and one path of the
+# anneal_escape benchmark (200k Euler-Maruyama steps)
+ANNEALED_RUNS = [
+    (f"seed {seed}", {"t_end": 20.0, "record_every": 0.5, "seed": seed, "noise_beta": 1.0})
+    for seed in range(3)
+] + [(
+    "seed 0, t_end 200",
+    {"t_end": 200.0, "sde_step": 1e-3, "record_every": 2.0, "seed": 0, "noise_beta": 1.0,
+     "anneal_c": 2.0},
+)]
+
+
 def compare_annealed(mods) -> list[str]:
-    """Three seeded double-well runs of ``integrate_annealed``, t_end 20."""
+    """Seeded double-well runs of ``integrate_annealed`` from w = -1."""
     wells = [_problems(mod)[1] for mod in mods]  # the "quadratic curve" double well
     lines = []
-    for seed in range(3):
+    for label, settings in ANNEALED_RUNS:
         traces = []
         for mod, (_, p, a) in zip(mods, wells):
             fl, ar, traceio = mod("flows"), mod("architectures"), mod("traceio")
-            cfg = fl.FlowConfig(t_end=20.0, record_every=0.5, seed=seed, noise_beta=1.0)
+            cfg = fl.FlowConfig(**settings)
             trace = fl.integrate_annealed(p, a, ar.ParamVector(np.array([-1.0])), cfg)
             traces.append("\n".join(traceio.trace_to_lines(trace)))
-        lines.append(f"annealed double well seed {seed}: trace {compare_output(*traces)}")
+        lines.append(f"annealed double well {label}: trace {compare_output(*traces)}")
     return lines
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from gradlab import architectures as ar
 from gradlab import spaces as sp
-from gradlab.errors import ShapeError, UnsupportedOperationError
+from gradlab.errors import ConfigurationError, ShapeError, UnsupportedOperationError
 
 from conftest import gauss_project, gram_at, kernel_at, panel_gauss, quad_inner, reconstruct
 
@@ -60,6 +60,13 @@ class TestEvaluate:
     def test_length_mismatch_rejected(self, sin2):
         with pytest.raises(ShapeError):
             ar.evaluate(sin2, ar.ParamVector(np.zeros(4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_curve_rejects_non_finite_coefficient(self, bad):
+        plane = sp.make_euclidean(2)
+        e1, e2 = (sp.Field(v, plane) for v in np.eye(2))
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            ar.curve_architecture([([0.0, 1.0], e1), ([0.5, bad], e2)])
 
 
 class TestJacobian:

@@ -776,6 +776,23 @@ def _named_case(tmp_path):
              "--out", out],
             "problem.resolution",
         ),
+        "nan_w0": (
+            ["run", "--config", config(QUAD_DEMO.replace("w0 = 0.0, 1.0, 0.1", "w0 = nan, 1, 0.5"), "w"),
+             "--out", out],
+            "architecture.w0 must be finite, got nan",
+        ),
+        "nan_spectrum_w": (
+            ["spectrum", "--config", config(spiral + "[spectrum]\nw = nan\n", "s3"), "--out", out],
+            "spectrum.w must be finite, got nan",
+        ),
+        "nan_phi": (
+            ["run", "--config", config(QUAD_DEMO.replace("phi = 1:0.5", "phi = 1:nan"), "p1"), "--out", out],
+            "problem.phi must be finite, got nan",
+        ),
+        "inf_phi": (
+            ["run", "--config", config(QUAD_DEMO.replace("phi = 1:0.5", "phi = 1:inf"), "p2"), "--out", out],
+            "problem.phi must be finite, got inf",
+        ),
         "usage_no_config": (["run"], ""),
         "usage_non_integer_seed": (["run", "--config", config(QUAD_DEMO, "q"), "--seed", "x"], ""),
         "usage_no_command": ([], ""),
@@ -789,11 +806,14 @@ class TestNamedRefusals:
         + ["annealed_negative_seed_option", "spectrum_negative_seed"]
         + ["spectrum_negative_seed_option", "coverage_negative_seed", "negative_init_seed"]
         + ["nan_clamp", "zero_clamp", "zero_resolution"]
+        + ["nan_w0", "nan_spectrum_w", "nan_phi", "inf_phi"]
         + ["usage_no_config", "usage_non_integer_seed", "usage_no_command"],
     )
     def test_one_named_line_and_exit_1(self, case, tmp_path, capsys):
         argv, key = _named_case(tmp_path)[case]
-        assert cli.main(argv) == cli.EXIT_CONFIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked numpy warning is a second line
+            assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
         assert err.startswith(f"config error: {key}"), err

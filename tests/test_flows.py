@@ -244,6 +244,108 @@ class TestScalarClosureMatchesKernel:
         assert abs(grad_f[0] - grad_r[0]) <= 32 * eps * np.dot(terms, dterms)
 
 
+def _reference_curve_closure(arch, phi):
+    """The curve closure as an interpreted loop over the structure: for
+    each component, Horner from the highest coefficient, then per target
+    entry ``rk += q_j*b_jk; drk += dq_j*b_jk`` over the components in order,
+    then ``loss += rk*rk; deriv += rk*drk``."""
+    comps, offset = arch.structure
+    polys = [list(poly) for poly, _ in comps]
+    rows = [b.coeffs.tolist() for _, b in comps]
+    with np.errstate(over="ignore"):
+        off = (offset.coeffs - phi).tolist()
+
+    def value_and_deriv(w):
+        qs, dqs = [], []
+        for poly in polys:
+            q = 0.0
+            dq = 0.0
+            for c in reversed(poly):
+                dq = dq * w + q
+                q = q * w + c
+            qs.append(q)
+            dqs.append(dq)
+        loss = 0.0
+        deriv = 0.0
+        for k in range(len(off)):
+            rk = off[k]
+            drk = 0.0
+            for j in range(len(polys)):
+                rk += qs[j] * rows[j][k]
+                drk += dqs[j] * rows[j][k]
+            loss += rk * rk
+            deriv += rk * drk
+        return 0.5 * loss, deriv
+
+    return value_and_deriv
+
+
+# signed zeros, units, subnormals and values whose sums and products overflow
+_EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7976931348623157e308]
+# full-mantissa draws: their sums round, so a change of operation order shows
+_NORMAL = st.integers(0, 2**32 - 1).map(lambda seed: float(np.random.default_rng(seed).normal()))
+_EDGE_MIX = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), _NORMAL, st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _curve_structures(draw, numbers):
+    """(architecture, phi) on a Euclidean target of size 1-8, with 1-3
+    components of degree 0-4, every number drawn from ``numbers``."""
+    size = draw(st.integers(1, 8))
+    e = sp.make_euclidean(size)
+    vector = st.lists(numbers, min_size=size, max_size=size)
+    degrees = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    comps = [
+        (draw(st.lists(numbers, min_size=deg + 1, max_size=deg + 1)), sp.Field(draw(vector), e))
+        for deg in degrees
+    ]
+    offset, phi = sp.Field(draw(vector), e), np.array(draw(vector))
+    return ar.curve_architecture(comps, offset), phi
+
+
+def _assert_closure_equals_loop(structure, ws):
+    arch, phi = structure
+    generated = fl._curve_scalar_closure(arch, phi)
+    loop = _reference_curve_closure(arch, phi)
+    for w in ws:
+        got, want = generated(w), loop(w)
+        assert [type(x) for x in got] == [float, float]
+        assert [x.hex() for x in got] == [x.hex() for x in want], w
+
+
+class TestGeneratedClosureMatchesLoop:
+    """The generated curve closure runs the loop's IEEE operations in the
+    loop's order, so every result has the same bits (any NaN matches NaN)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(structure=_curve_structures(_NORMAL), ws=st.lists(_NORMAL, min_size=1, max_size=4))
+    def test_same_rounding(self, structure, ws):
+        _assert_closure_equals_loop(structure, ws)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        structure=_curve_structures(_EDGE_MIX),
+        ws=st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_FLOATS + [math.inf, -math.inf, 1e154, -1e200]),
+                _NORMAL, st.floats(),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_same_zeros_infinities_and_nans(self, structure, ws):
+        _assert_closure_equals_loop(structure, ws)
+
+    def test_overflowing_offset_is_a_literal(self):
+        # offset - phi overflows to -inf, which the source spells as a name
+        e = sp.make_euclidean(1)
+        arch = ar.curve_architecture([([0.0, 1.0], sp.Field([1.0], e))], sp.Field([-1e308], e))
+        generated = fl._curve_scalar_closure(arch, np.array([1e308]))
+        assert generated(2.0) == (math.inf, -math.inf)
+
+
 def _sample_cases():
     """(problem, architecture) pairs for the sample reference: sinusoid,
     affine and curve families on quadratic and NPBE problems, the curve on a
