@@ -238,6 +238,8 @@ def build_architecture(cfg: ExperimentConfig, basis) -> ArchitectureSpec:
         scale = 1.0 / np.sqrt(spaces.HALF_WIDTH ** basis.dimension)
         for k in _parse_floats(modes_text, "architecture.modes"):
             idx = int(k)
+            if idx != k:
+                raise ConfigurationError(f"architecture.modes: mode {k} is not a whole number")
             if idx < 1 or idx > basis.size:
                 raise ConfigurationError(f"architecture.modes: mode {idx} out of range")
             e = np.zeros(basis.size)

@@ -18,14 +18,7 @@ class UnsupportedOperationError(GradlabError):
 
 
 class DivergenceError(GradlabError):
-    """A loss or gradient evaluation produced a non-finite value.
-
-    Carries the last finite state seen so callers can report it.
-    """
-
-    def __init__(self, message, last_finite=None):
-        super().__init__(message)
-        self.last_finite = last_finite
+    """A loss or gradient evaluation produced a non-finite value."""
 
 
 class ExpansionRejectedError(GradlabError):

@@ -268,7 +268,8 @@ class ParametricObjective:
 
 
 class NominalObjective:
-    """Loss and metric gradient of the flow directly on the target space."""
+    """Loss, metric gradient, and diagnostics of the flow directly on the
+    target space, through the two methods of ``ParametricObjective``."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
@@ -279,12 +280,17 @@ class NominalObjective:
         self._l2w = spaces._metric_weights(self.basis, SobolevOrder.L2)
 
     def value_and_grad(self, coeffs: np.ndarray):
-        """Returns (loss, gradient coeffs in the problem metric, grad_norm,
-        clamped)."""
-        g = Field(coeffs, self.basis)
-        ev = prob_mod.nominal_loss(self.problem, g)
-        gnorm = spaces.norm(ev.gradient, self.problem.gradient_metric)
-        return ev.value, ev.gradient.coeffs, gnorm, ev.clamped
+        """Returns (loss, gradient coeffs in the problem metric, clamped flag)."""
+        ev = prob_mod.nominal_loss(self.problem, Field(coeffs, self.basis))
+        return ev.value, ev.gradient.coeffs, ev.clamped
+
+    def sample(self, coeffs: np.ndarray):
+        """The recorded sample at ``coeffs``: (loss, gradient norm in the
+        problem metric, extras).  Only samples take the norm."""
+        loss, grad, clamped = self.value_and_grad(coeffs)
+        grad_norm = spaces.norm(Field(grad, self.basis), self.problem.gradient_metric)
+        extras = {"model_error": _l2_distance(coeffs, self._phi, self._l2w), "clamped": clamped}
+        return loss, grad_norm, extras
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +334,7 @@ class _TraceBuilder:
         """Append a sample; a non-finite or capped loss is a divergence."""
         loss, grad_norm, extras = sample
         if not np.isfinite(loss) or loss > LOSS_CAP:
-            raise DivergenceError("loss diverged", last_finite=None)
+            raise DivergenceError("loss diverged")
         mu, model_error = extras.get("mu"), extras.get("model_error")
         clamped = extras.get("clamped", False)
         self.t.append(float(t))
@@ -382,14 +388,15 @@ class _TraceBuilder:
         )
 
 
-def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
-    """Drive scipy LSODA over y' = rhs_fn(y), recording on a fixed grid.
+def _run_deterministic(kind, obj, y0, cfg, make_state):
+    """Drive scipy LSODA over y' = -grad of the objective ``obj``,
+    recording on a fixed grid.
 
     LSODA starts with Adams formulas and moves to BDF with a
     finite-difference Jacobian once it detects stiffness, so stiff
-    pullbacks and non-stiff nominal flows share this one driver.
-    ``rhs_fn`` is the bare drift (called at every integrator stage and
-    Jacobian column); ``eval_sample(y) -> (loss, grad_norm, extras)`` adds
+    pullbacks and non-stiff nominal flows share this one driver.  The
+    drift is ``obj.value_and_grad``, called at every integrator stage and
+    Jacobian column; ``obj.sample(y) -> (loss, grad_norm, extras)`` adds
     the per-sample diagnostics and is only called on the recording grid.
     ``make_state`` wraps the terminal state.
     """
@@ -398,7 +405,7 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
     n_steps = 0
 
     def rhs(t, y):
-        return rhs_fn(y)
+        return -obj.value_and_grad(y)[1]
 
     def finish(reason, y, detail=""):
         counters = {"rhs_evals": 0, "jac_evals": 0, "steps": n_steps}
@@ -407,7 +414,7 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
             counters["jac_evals"] = int(stepper.njev)
         return builder.finish(reason, make_state(y), detail, counters)
 
-    builder = _TraceBuilder.start(kind, cfg, eval_sample, y0)
+    builder = _TraceBuilder.start(kind, cfg, obj.sample, y0)
     if builder.grad[0] < cfg.grad_stop:
         return finish("grad_stop", np.asarray(y0))
 
@@ -442,7 +449,7 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
                 ts = min(next_t, stepper.t)
                 ys = dense(ts)
                 try:
-                    sample = eval_sample(ys)
+                    sample = obj.sample(ys)
                     builder.record(ts, sample)
                 except DivergenceError:
                     return finish("divergence", ys, "loss diverged")
@@ -462,7 +469,7 @@ def _run_deterministic(kind, y0, cfg, rhs_fn, eval_sample, make_state):
     # clean t_end arrival: record the final point if the grid missed it
     if builder.t[-1] < cfg.t_end - 1e-12 * cfg.t_end:
         try:
-            builder.record(cfg.t_end, eval_sample(stepper.y))
+            builder.record(cfg.t_end, obj.sample(stepper.y))
         except DivergenceError:
             return finish("divergence", stepper.y, "loss diverged")
     return finish("t_end", stepper.y)
@@ -477,36 +484,22 @@ def integrate_nominal(p: Problem, g0: Field, cfg: FlowConfig) -> FlowTrace:
     """Descend the loss directly on the target space from g0."""
     if g0.basis != p.basis:
         raise ConfigurationError("initial field is not on the problem basis")
-    obj = NominalObjective(p)
-
-    def rhs_fn(y):
-        return -obj.value_and_grad(y)[1]
-
-    def eval_sample(y):
-        loss, _, gnorm, clamped = obj.value_and_grad(y)
-        extras = {"model_error": _l2_distance(y, obj._phi, obj._l2w), "clamped": clamped}
-        return loss, gnorm, extras
 
     def make_state(y):
         return Field(np.where(np.isfinite(y), y, 0.0), p.basis, p.gradient_metric)
 
-    return _run_deterministic("nominal", g0.coeffs, cfg, rhs_fn, eval_sample, make_state)
+    return _run_deterministic("nominal", NominalObjective(p), g0.coeffs, cfg, make_state)
 
 
 def integrate_parametric(
     p: Problem, a: ArchitectureSpec, w0: ParamVector, cfg: FlowConfig
 ) -> FlowTrace:
     """Descend the parametric loss from w0; records kernel diagnostics."""
-    obj = ParametricObjective(p, a)
-    level = w0.level
-
-    def rhs_fn(y):
-        return -obj.value_and_grad(y)[1]
 
     def make_state(y):
-        return ParamVector(np.where(np.isfinite(y), y, 0.0), level=level)
+        return ParamVector(np.where(np.isfinite(y), y, 0.0), level=w0.level)
 
-    return _run_deterministic("parametric", w0.values, cfg, rhs_fn, obj.sample, make_state)
+    return _run_deterministic("parametric", ParametricObjective(p, a), w0.values, cfg, make_state)
 
 
 def integrate_annealed(

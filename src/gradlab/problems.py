@@ -100,9 +100,7 @@ def nominal_loss(p: Problem, g: Field) -> LossEval:
     value = 0.5 * spaces.inner_product(res, res, SobolevOrder.L2)
     dl_l2 = p.l2_gradient_map(g, res)
     if not np.isfinite(value) or not np.all(np.isfinite(dl_l2.coeffs)):
-        raise DivergenceError(
-            f"non-finite loss evaluation in '{p.name}'", last_finite=g
-        )
+        raise DivergenceError(f"non-finite loss evaluation in '{p.name}'")
     grad = spaces.metric_sharp(dl_l2, p.gradient_metric)
     clamped = bool(p.clamp_probe(g)) if p.clamp_probe is not None else False
     return LossEval(

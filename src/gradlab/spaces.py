@@ -54,19 +54,12 @@ class Domain:
     """Rectangular domain [-pi, pi]^dimension with zero Dirichlet boundary."""
 
     dimension: int
-    zero_dirichlet: bool = True
 
     def __post_init__(self):
         if self.dimension not in (1, 3):
             raise ConfigurationError(
                 f"domain dimension must be 1 or 3, got {self.dimension}"
             )
-        if not self.zero_dirichlet:
-            raise ConfigurationError("only zero-Dirichlet boundaries are supported")
-
-    @property
-    def bounds(self):
-        return tuple((-HALF_WIDTH, HALF_WIDTH) for _ in range(self.dimension))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +74,6 @@ class Basis:
     kind: str  # "sine" | "nodal"
     dimension: int
     n: int  # modes (or nodes) per axis
-    domain: Domain | None = None
     axis_eigenvalues: np.ndarray | None = field(default=None, repr=False)
     eigenvalues: np.ndarray | None = field(default=None, repr=False)
     weights: np.ndarray | None = field(default=None, repr=False)
@@ -172,7 +164,6 @@ def make_space(domain: Domain, resolution: int) -> Basis:
         kind="sine",
         dimension=domain.dimension,
         n=resolution,
-        domain=domain,
         axis_eigenvalues=axis_eigs,
         eigenvalues=tensor,
     )
@@ -360,12 +351,9 @@ def field_from_modes(basis: Basis, modes: list[tuple[int, float]]) -> Field:
     total = np.zeros((n,) * d)
     for mode, amp in modes:
         axis = _axis_mode_coeffs(basis, int(mode))
-        if d == 1:
-            term = axis
-        else:
-            term = axis
-            for _ in range(d - 1):
-                term = np.multiply.outer(term, axis)
+        term = axis
+        for _ in range(d - 1):
+            term = np.multiply.outer(term, axis)
         total = total + float(amp) * term
     return Field(total.ravel(), basis)
 

@@ -16,7 +16,10 @@ checkout's ``src``.  The trees are imported as the packages
 * whether seeded ``integrate_annealed`` runs on the double well (the
   scalar-closure path, which no shipped config takes) write the same trace:
   three to t_end 20, and one with the ``anneal_escape`` benchmark's
-  settings (t_end 200, step 1e-3, 200k steps);
+  settings (t_end 200, step 1e-3, 200k steps); and one to t_end 20 on the
+  well turned by 0.7 rad, whose dense, full-mantissa component rows make
+  each residual entry a sum of rounded terms, so that the order in which
+  the closure accumulates them shows in the trace;
 * for every case of ``regenerate.py`` (each shipped config and the 3-D
   n=17 nominal NPBE solve), whether each output of the two trees'
   ``cli.main`` is the same: the exit code, stdout, and every file written.
@@ -36,6 +39,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import re
 import shutil
 import sys
@@ -173,25 +177,42 @@ def compare_npbe_3d(mods) -> list[str]:
     return [f"{label}: nominal_loss and compiled_loss {gap(*got)}"]
 
 
-# (label, FlowConfig settings): three short runs, and one path of the
-# anneal_escape benchmark (200k Euler-Maruyama steps)
+def _axis_well(mod):
+    """The "quadratic curve" double well, whose rows are e1 and e2."""
+    return _problems(mod)[1][1:]
+
+
+def _dense_well(mod):
+    """The double well turned by 0.7 rad: both rows are dense."""
+    sp, pr, ar = mod("spaces"), mod("problems"), mod("architectures")
+    plane = sp.make_euclidean(2)
+    c, s = math.cos(0.7), math.sin(0.7)
+    b1, b2 = sp.Field([c, s], plane), sp.Field([-s, c], plane)
+    phi = sp.Field([c - 0.9 * s, s + 0.9 * c], plane)
+    well = ar.curve_architecture([([0.0, 0.0, 1.0], b1), ([0.0, 0.5], b2)])
+    return pr.quadratic_problem(plane, phi), well
+
+
+# (label, well, FlowConfig settings): three short runs, one path of the
+# anneal_escape benchmark (200k Euler-Maruyama steps), one on dense rows
+SHORT = {"t_end": 20.0, "record_every": 0.5, "noise_beta": 1.0}
 ANNEALED_RUNS = [
-    (f"seed {seed}", {"t_end": 20.0, "record_every": 0.5, "seed": seed, "noise_beta": 1.0})
-    for seed in range(3)
+    (f"seed {seed}", _axis_well, {**SHORT, "seed": seed}) for seed in range(3)
 ] + [(
     "seed 0, t_end 200",
+    _axis_well,
     {"t_end": 200.0, "sde_step": 1e-3, "record_every": 2.0, "seed": 0, "noise_beta": 1.0,
      "anneal_c": 2.0},
-)]
+), ("dense rows, seed 0", _dense_well, {**SHORT, "seed": 0})]
 
 
 def compare_annealed(mods) -> list[str]:
     """Seeded double-well runs of ``integrate_annealed`` from w = -1."""
-    wells = [_problems(mod)[1] for mod in mods]  # the "quadratic curve" double well
     lines = []
-    for label, settings in ANNEALED_RUNS:
+    for label, well, settings in ANNEALED_RUNS:
         traces = []
-        for mod, (_, p, a) in zip(mods, wells):
+        for mod in mods:
+            p, a = well(mod)
             fl, ar, traceio = mod("flows"), mod("architectures"), mod("traceio")
             cfg = fl.FlowConfig(**settings)
             trace = fl.integrate_annealed(p, a, ar.ParamVector(np.array([-1.0])), cfg)

@@ -726,6 +726,13 @@ def test_invalid_setting_is_one_named_line(section, key, value, tmp_path, capsys
     assert err.startswith(f"config error: {section}.{key}"), err
 
 
+# a one-parameter affine fit whose mode list is filled in
+_AFFINE = (
+    "[problem]\nkind = quadratic\nresolution = 16\nphi = 1:0.5\n"
+    "[architecture]\nkind = affine\nmodes = {}\nw0 = 0.0\n"
+)
+
+
 def _named_case(tmp_path):
     """Inputs refused before any run, each as (argv, the start of its one
     stderr line)."""
@@ -793,6 +800,10 @@ def _named_case(tmp_path):
             ["run", "--config", config(QUAD_DEMO.replace("phi = 1:0.5", "phi = 1:inf"), "p2"), "--out", out],
             "problem.phi must be finite, got inf",
         ),
+        "fractional_affine_mode": (
+            ["run", "--config", config(_AFFINE.format("1.7"), "m"), "--out", out],
+            "architecture.modes: mode 1.7 is not a whole number",
+        ),
         "usage_no_config": (["run"], ""),
         "usage_non_integer_seed": (["run", "--config", config(QUAD_DEMO, "q"), "--seed", "x"], ""),
         "usage_no_command": ([], ""),
@@ -806,7 +817,7 @@ class TestNamedRefusals:
         + ["annealed_negative_seed_option", "spectrum_negative_seed"]
         + ["spectrum_negative_seed_option", "coverage_negative_seed", "negative_init_seed"]
         + ["nan_clamp", "zero_clamp", "zero_resolution"]
-        + ["nan_w0", "nan_spectrum_w", "nan_phi", "inf_phi"]
+        + ["nan_w0", "nan_spectrum_w", "nan_phi", "inf_phi", "fractional_affine_mode"]
         + ["usage_no_config", "usage_non_integer_seed", "usage_no_command"],
     )
     def test_one_named_line_and_exit_1(self, case, tmp_path, capsys):
@@ -817,6 +828,12 @@ class TestNamedRefusals:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
         assert err.startswith(f"config error: {key}"), err
+
+    @pytest.mark.parametrize("mode", ["2", "2.0"])
+    def test_whole_affine_mode_still_runs(self, mode, tmp_path):
+        text = _AFFINE.format(mode)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -81,6 +81,57 @@ class TestNominal:
         assert any(e.kind == "clamp" for e in trace.events)
 
 
+class TestNominalObjective:
+    """``NominalObjective`` has the two methods of ``ParametricObjective``,
+    and only a recorded sample takes the metric gradient norm."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_one_objective_call_per_rhs_and_sample(self, quad_problem, basis_128, monkeypatch):
+        # perfbench counts right-hand sides as objective calls minus samples
+        calls = self._count(monkeypatch, fl.NominalObjective, "value_and_grad")
+        g0 = sp.field_from_modes(basis_128, [(1, 1.5), (2, 0.7)])
+        trace = fl.integrate_nominal(quad_problem, g0, fl.FlowConfig(t_end=2.0, record_every=0.1))
+        rhs, samples = trace.counters["rhs_evals"], trace.n_samples
+        assert rhs > 0 and samples > 1
+        assert len(calls) == rhs + samples
+
+    def test_metric_norm_once_per_sample(self, basis_128, monkeypatch):
+        phi = sp.field_from_modes(basis_128, [(1, 0.6), (2, 0.25)])
+        p = pr.npbe_problem(basis_128, phi, sp.SobolevOrder.W22)
+        norms = self._count(monkeypatch, sp, "norm")
+        g0 = sp.field_from_modes(basis_128, [(1, 0.2)])
+        trace = fl.integrate_nominal(p, g0, fl.FlowConfig(t_end=2.0, record_every=0.1))
+        assert trace.counters["rhs_evals"] > trace.n_samples > 1
+        assert len(norms) == trace.n_samples
+
+    @pytest.mark.parametrize("kind", ["quadratic", "npbe"])
+    def test_sample_is_floats_and_l2_model_error(self, kind):
+        basis = sp.make_space(sp.Domain(1), 32)
+        phi = sp.field_from_modes(basis, [(1, 0.6), (2, 0.25)])
+        p = (pr.quadratic_problem(basis, phi, sp.SobolevOrder.W12) if kind == "quadratic"
+             else pr.npbe_problem(basis, phi, sp.SobolevOrder.W22))
+        coeffs = phi.coeffs + 0.1 * np.random.default_rng(3).standard_normal(basis.size)
+        loss, grad_norm, extras = fl.NominalObjective(p).sample(coeffs)
+        assert type(loss) is float and type(grad_norm) is float
+        ev = pr.nominal_loss(p, sp.Field(coeffs, basis))
+        assert (loss, grad_norm) == (ev.value, pr.gradient_norm(p, ev))
+        l2w = sp._metric_weights(basis, sp.SobolevOrder.L2)
+        assert extras == {
+            "model_error": fl._l2_distance(coeffs, phi.coeffs, l2w), "clamped": ev.clamped
+        }
+
+
 class TestParametric:
     def test_affine_rate_bounded_by_kernel_floor(self, basis_128):
         # residual confined to the architecture span: log-loss slope is
